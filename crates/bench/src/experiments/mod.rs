@@ -20,6 +20,7 @@ pub mod x10;
 pub mod x11;
 pub mod x12;
 pub mod x13;
+pub mod x14;
 pub mod x2;
 pub mod x3;
 pub mod x4;
@@ -120,6 +121,7 @@ const EXPERIMENTS: &[(&str, Runner)] = &[
     ("x11", x11::run),
     ("x12", x12::run),
     ("x13", x13::run),
+    ("x14", x14::run),
 ];
 
 /// Run every experiment in order.

@@ -1,7 +1,7 @@
 //! Log-barrier interior-point method for convex, separable objectives
 //! under sparse linear inequality constraints.
 
-use crate::linalg::Matrix;
+use crate::sparse::SparseCholesky;
 use std::fmt;
 
 /// A sparse linear inequality `Σ coeffs·x ≤ rhs`.
@@ -150,7 +150,8 @@ impl BarrierSolver {
         constraints: &[LinearConstraint],
         x0: Vec<f64>,
     ) -> Result<BarrierSolution, ConvexError> {
-        self.minimize_from(obj, constraints, x0, 1.0)
+        let mut chol = SparseCholesky::analyze(x0.len(), constraints);
+        self.minimize_from(&mut chol, obj, constraints, x0, 1.0)
     }
 
     /// [`BarrierSolver::minimize`] seeded from a previous, nearby
@@ -162,7 +163,8 @@ impl BarrierSolver {
     /// point all the way back to the analytic center. Falls back to
     /// the cold `x0` path when the warm point is inadmissible or the
     /// warm solve fails, so this never errors where [`Self::minimize`]
-    /// would succeed.
+    /// would succeed. Both attempts share one symbolic analysis of the
+    /// Newton system.
     pub fn minimize_warm(
         &self,
         obj: &dyn Objective,
@@ -170,25 +172,27 @@ impl BarrierSolver {
         x0: Vec<f64>,
         warm: Option<&WarmStart>,
     ) -> Result<BarrierSolution, ConvexError> {
+        let mut chol = SparseCholesky::analyze(x0.len(), constraints);
         if let Some(w) = warm {
             let admissible = w.x.len() == x0.len()
                 && constraints.iter().all(|c| c.slack(&w.x) > 0.0)
                 && obj.value(&w.x).is_finite();
             if admissible {
                 let t0 = w.t_final.max(1.0);
-                if let Ok(sol) = self.minimize_from(obj, constraints, w.x.clone(), t0) {
+                if let Ok(sol) = self.minimize_from(&mut chol, obj, constraints, w.x.clone(), t0) {
                     return Ok(sol);
                 }
             }
         }
-        self.minimize_from(obj, constraints, x0, 1.0)
+        self.minimize_from(&mut chol, obj, constraints, x0, 1.0)
     }
 
     /// The engine behind both entry points: barrier minimization
-    /// starting at weight `t0 ≥ 1`.
-    #[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(s > 0)` must also reject NaN slack
+    /// starting at weight `t0 ≥ 1`, with `chol` analysed for
+    /// `constraints`.
     fn minimize_from(
         &self,
+        chol: &mut SparseCholesky,
         obj: &dyn Objective,
         constraints: &[LinearConstraint],
         x0: Vec<f64>,
@@ -196,17 +200,12 @@ impl BarrierSolver {
     ) -> Result<BarrierSolution, ConvexError> {
         let n = x0.len();
         let m = constraints.len().max(1) as f64;
+        let mut slack = vec![0.0; constraints.len()];
         // Verify strict feasibility of the start.
-        for (k, c) in constraints.iter().enumerate() {
-            let s = c.slack(&x0);
-            if !(s > 0.0) {
-                return Err(ConvexError::InfeasibleStart {
-                    constraint: k,
-                    slack: s,
-                });
-            }
-        }
-        if !obj.value(&x0).is_finite() {
+        let mut log_term = log_barrier(constraints, &x0, &mut slack)
+            .map_err(|(constraint, slack)| ConvexError::InfeasibleStart { constraint, slack })?;
+        let mut fx = obj.value(&x0);
+        if !fx.is_finite() {
             return Err(ConvexError::InfeasibleStart {
                 constraint: usize::MAX,
                 slack: f64::NAN,
@@ -218,34 +217,34 @@ impl BarrierSolver {
         let mut newton_steps = 0usize;
         let mut grad = vec![0.0; n];
         let mut hdiag = vec![0.0; n];
+        let mut g = vec![0.0; n];
+        let mut dx = vec![0.0; n];
+        let mut cand = vec![0.0; n];
+        let mut cand_slack = vec![0.0; constraints.len()];
 
         loop {
             // ---- Centering: Newton on  t·f(x) − Σ log(slack_k).
             let mut made_progress = false;
             for _ in 0..self.max_newton {
                 // Gradient and Hessian of the barrier-augmented
-                // objective.
+                // objective, the Hessian straight into L's slots.
                 obj.gradient(&x, &mut grad);
                 obj.hess_diag(&x, &mut hdiag);
-                let mut g: Vec<f64> = grad.iter().map(|v| t * v).collect();
-                let mut h = Matrix::zeros(n);
-                for (i, &d) in hdiag.iter().enumerate() {
-                    h.add(i, i, t * d);
+                chol.clear();
+                for i in 0..n {
+                    g[i] = t * grad[i];
+                    chol.add_diag(i, t * hdiag[i]);
                 }
-                for c in constraints {
-                    let s = c.slack(&x);
-                    let inv = 1.0 / s;
+                for (k, c) in constraints.iter().enumerate() {
+                    let inv = 1.0 / slack[k];
                     for &(j, cj) in &c.coeffs {
                         g[j] += cj * inv;
                     }
-                    let inv2 = inv * inv;
-                    for &(j1, c1) in &c.coeffs {
-                        for &(j2, c2) in &c.coeffs {
-                            h.add(j1, j2, c1 * c2 * inv2);
-                        }
-                    }
+                    chol.add_outer(k, c, inv * inv);
                 }
-                let dx = h.solve_spd(&g).ok_or(ConvexError::NumericalFailure)?;
+                if !chol.solve_spd(&g, &mut dx) {
+                    return Err(ConvexError::NumericalFailure);
+                }
                 // Newton decrement λ² = gᵀ H⁻¹ g = gᵀ dx.
                 let lambda2: f64 = g.iter().zip(&dx).map(|(a, b)| a * b).sum();
                 if !lambda2.is_finite() {
@@ -255,18 +254,24 @@ impl BarrierSolver {
                     break;
                 }
                 // Backtracking line search on the true barrier value
-                // with strict-feasibility checks.
-                let f0 = self.barrier_value(obj, constraints, &x, t);
+                // with strict-feasibility checks; one pass over the
+                // constraints per trial yields both.
+                let f0 = t * fx + log_term;
                 let gdx: f64 = lambda2; // directional derivative of −dx is −λ²
                 let mut step = 1.0;
                 let mut accepted = false;
                 for _ in 0..60 {
-                    let cand: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi - step * di).collect();
-                    let feasible = constraints.iter().all(|c| c.slack(&cand) > 0.0);
-                    if feasible {
-                        let fv = self.barrier_value(obj, constraints, &cand, t);
+                    for ((ci, xi), di) in cand.iter_mut().zip(&x).zip(&dx) {
+                        *ci = xi - step * di;
+                    }
+                    if let Ok(lb) = log_barrier(constraints, &cand, &mut cand_slack) {
+                        let fc = obj.value(&cand);
+                        let fv = t * fc + lb;
                         if fv.is_finite() && fv <= f0 - self.alpha * step * gdx {
-                            x = cand;
+                            std::mem::swap(&mut x, &mut cand);
+                            std::mem::swap(&mut slack, &mut cand_slack);
+                            fx = fc;
+                            log_term = lb;
                             accepted = true;
                             break;
                         }
@@ -282,13 +287,12 @@ impl BarrierSolver {
                 made_progress = true;
             }
             // ---- Outer loop: shrink the gap bound.
-            let value = obj.value(&x);
             let gap = m / t;
-            let scale = 1.0 + value.abs();
+            let scale = 1.0 + fx.abs();
             if gap <= self.tol * scale {
                 return Ok(BarrierSolution {
                     x,
-                    value,
+                    value: fx,
                     gap,
                     newton_steps,
                     t_final: t,
@@ -300,28 +304,27 @@ impl BarrierSolver {
             t *= self.mu;
         }
     }
+}
 
-    fn barrier_value(
-        &self,
-        obj: &dyn Objective,
-        constraints: &[LinearConstraint],
-        x: &[f64],
-        t: f64,
-    ) -> f64 {
-        let f = obj.value(x);
-        if !f.is_finite() {
-            return f64::INFINITY;
+/// The log-barrier term `−Σ ln s_k` at `x`, storing every slack `s_k`
+/// into `slack`; `Err((k, s_k))` at the first constraint that is not
+/// strictly satisfied (a NaN slack included).
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // `!(s > 0)` must also reject NaN slack
+fn log_barrier(
+    constraints: &[LinearConstraint],
+    x: &[f64],
+    slack: &mut [f64],
+) -> Result<f64, (usize, f64)> {
+    let mut v = 0.0;
+    for (k, (c, sk)) in constraints.iter().zip(slack.iter_mut()).enumerate() {
+        let s = c.slack(x);
+        if !(s > 0.0) {
+            return Err((k, s));
         }
-        let mut v = t * f;
-        for c in constraints {
-            let s = c.slack(x);
-            if s <= 0.0 {
-                return f64::INFINITY;
-            }
-            v -= s.ln();
-        }
-        v
+        *sk = s;
+        v -= s.ln();
     }
+    Ok(v)
 }
 
 #[cfg(test)]
