@@ -175,6 +175,15 @@ impl ExactCurve {
     }
 }
 
+/// Refuse a curve holding a non-finite value, as [`Engine`] refuses a
+/// non-finite solve.
+fn finite_curve(values: impl IntoIterator<Item = f64>) -> Result<(), SolveError> {
+    match values.into_iter().find(|v| !v.is_finite()) {
+        Some(v) => Err(SolveError::Numerical(format!("non-finite curve value {v}"))),
+        None => Ok(()),
+    }
+}
+
 /// Everything an [`Algorithm`] needs to attempt one instance.
 pub struct Ctx<'a> {
     /// The prepared (analysis-cached) graph.
@@ -339,7 +348,25 @@ impl Engine {
         schedule
             .validate(ctx.prep.graph(), ctx.model, ctx.deadline)
             .map_err(|e| SolveError::Numerical(format!("produced schedule invalid: {e}")))?;
-        let energy = schedule.energy(ctx.prep.graph(), self.power);
+        self.package(ctx.prep.graph(), schedule, algorithm)
+    }
+
+    /// Price a validated schedule. A non-finite energy or makespan
+    /// (weights near `f64::MAX` overflow `w·s^(α−1)`) is no answer: it
+    /// is [`SolveError::Numerical`], never a [`Solution`].
+    fn package(
+        &self,
+        g: &TaskGraph,
+        schedule: Schedule,
+        algorithm: &'static str,
+    ) -> Result<Solution, SolveError> {
+        let energy = schedule.energy(g, self.power);
+        let makespan = schedule.makespan(g);
+        if !(energy.is_finite() && makespan.is_finite()) {
+            return Err(SolveError::Numerical(format!(
+                "non-finite result: energy {energy}, makespan {makespan}"
+            )));
+        }
         Ok(Solution {
             schedule,
             energy,
@@ -388,12 +415,7 @@ impl Engine {
             // that the instance is unsolvable: fall through to cold.
             if let Ok(sched) = w.resolve(prep, deadline) {
                 if sched.validate(prep.graph(), model, deadline).is_ok() {
-                    let energy = sched.energy(prep.graph(), self.power);
-                    return Ok(Solution {
-                        schedule: sched,
-                        energy,
-                        algorithm: "vdd-lp-warm",
-                    });
+                    return self.package(prep.graph(), sched, "vdd-lp-warm");
                 }
             }
             profiling::bump_warm_lost();
@@ -403,13 +425,8 @@ impl Engine {
         sched
             .validate(prep.graph(), model, deadline)
             .map_err(|e| SolveError::Numerical(format!("produced schedule invalid: {e}")))?;
-        let energy = sched.energy(prep.graph(), self.power);
         *warm = Some(handle);
-        Ok(Solution {
-            schedule: sched,
-            energy,
-            algorithm: "vdd-lp",
-        })
+        self.package(prep.graph(), sched, "vdd-lp")
     }
 
     /// Apply an edit batch to a prepared instance and solve the
@@ -574,6 +591,19 @@ impl Engine {
         lo_factor: f64,
         hi_factor: f64,
     ) -> Result<Vec<CurvePoint>, SolveError> {
+        let curve = self.sample_curve(prep, model, points, lo_factor, hi_factor)?;
+        finite_curve(curve.iter().flat_map(|p| [p.deadline, p.energy]))?;
+        Ok(curve)
+    }
+
+    fn sample_curve(
+        &self,
+        prep: &PreparedGraph<'_>,
+        model: &EnergyModel,
+        points: usize,
+        lo_factor: f64,
+        hi_factor: f64,
+    ) -> Result<Vec<CurvePoint>, SolveError> {
         if points < 2 {
             return Err(SolveError::Unsupported(format!(
                 "energy_curve needs at least two points, got {points}"
@@ -706,6 +736,25 @@ impl Engine {
     /// the cold two-phase LP entirely — the daemon's cached instances
     /// ride this path. For other models `warm` is left untouched.
     pub fn energy_curve_exact_warm(
+        &self,
+        prep: &PreparedGraph<'_>,
+        model: &EnergyModel,
+        lo_factor: f64,
+        hi_factor: f64,
+        warm: &mut Option<VddWarm>,
+    ) -> Result<ExactCurve, SolveError> {
+        let curve = self.exact_curve(prep, model, lo_factor, hi_factor, warm)?;
+        finite_curve(curve.segments.iter().flat_map(|s| {
+            let (x, y) = match s.energy {
+                CurveEnergy::Affine { a, b } => (a, b),
+                CurveEnergy::Power { c, p } => (c, p),
+            };
+            [s.deadline_lo, s.deadline_hi, x, y]
+        }))?;
+        Ok(curve)
+    }
+
+    fn exact_curve(
         &self,
         prep: &PreparedGraph<'_>,
         model: &EnergyModel,
@@ -1045,6 +1094,28 @@ mod tests {
     use taskgraph::{generators, profiling};
 
     const P: PowerLaw = PowerLaw::CUBIC;
+
+    #[test]
+    fn overflowing_results_are_numerical_errors() {
+        // A valid instance whose optimal energy at D = 1 (w³ for
+        // w = 1e200) overflows f64 is refused, not answered ∞; so is
+        // an exact curve whose closed form (c = E·D²) overflows. The
+        // sampled curve's deadlines scale with the critical path, so
+        // its energies stay finite and it answers.
+        let g = TaskGraph::new(vec![1e200, 1.0], &[(0, 1)]).unwrap();
+        let prep = PreparedGraph::new(&g);
+        let model = EnergyModel::continuous_unbounded();
+        let engine = Engine::new(P);
+        let solved = engine.solve(&prep, &model, 1.0);
+        assert!(
+            matches!(solved, Err(SolveError::Numerical(_))),
+            "{solved:?}"
+        );
+        let exact = engine.energy_curve_exact(&prep, &model, 1.05, 3.0);
+        assert!(matches!(exact, Err(SolveError::Numerical(_))), "{exact:?}");
+        let sampled = engine.energy_curve(&prep, &model, 4, 1.05, 3.0).unwrap();
+        assert!(sampled.iter().all(|p| p.energy.is_finite()));
+    }
 
     #[test]
     fn analysis_runs_exactly_once_per_prepared_graph() {

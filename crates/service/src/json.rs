@@ -11,7 +11,7 @@
 //! * non-finite numbers are unrepresentable — [`Json::num`] panics on
 //!   NaN/∞ rather than emitting invalid JSON.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A JSON value. Objects are ordered association lists.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,19 +131,22 @@ impl Json {
     }
 }
 
-fn write_num(v: f64, out: &mut String) {
+/// Append a finite number's JSON text.
+pub(crate) fn write_num(v: f64, out: &mut String) {
     debug_assert!(v.is_finite());
+    // Writing into a String cannot fail.
     if v == v.trunc() && v.abs() < 9.0e15 {
         // Integral doubles print without a fraction ("5", not "5.0"),
         // matching how lengths/counters read on the wire.
-        out.push_str(&format!("{}", v as i64));
+        let _ = write!(out, "{}", v as i64);
     } else {
         // Rust's f64 Display is the shortest round-trip representation.
-        out.push_str(&format!("{v}"));
+        let _ = write!(out, "{v}");
     }
 }
 
-fn write_str(s: &str, out: &mut String) {
+/// Append a string's JSON text (quoted and escaped).
+pub(crate) fn write_str(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -154,7 +157,9 @@ fn write_str(s: &str, out: &mut String) {
             '\t' => out.push_str("\\t"),
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
             c => out.push(c),
         }
     }

@@ -38,8 +38,10 @@
 //! * [`corpus`] — deterministic sharding of whole instance
 //!   directories across engine shards, with byte-identical manifests
 //!   and per-shard `BENCH_corpus_<k>.json` perf records;
-//! * [`json`] — the in-tree JSON codec both layers ride on (the build
-//!   environment is offline; there is no serde).
+//! * [`json`] — the in-tree JSON parser and writer (the build
+//!   environment is offline; there is no serde). Every message and
+//!   store record is encoded and decoded through one declarative field
+//!   table per type (the crate-private `wire` module) on top of it.
 //!
 //! Start a daemon and ask it something:
 //!
@@ -75,6 +77,7 @@ pub mod json;
 pub(crate) mod net;
 pub mod proto;
 pub mod store;
+pub(crate) mod wire;
 
 pub use cache::{CacheConfig, InstanceCache, Prepared};
 pub use client::{Client, ClientError, Pipeline};

@@ -60,8 +60,9 @@
 //! ```
 
 use crate::json::{self, Json};
+use crate::wire::{self, Fields, Named, Obj, Wire};
 use models::{DiscreteModes, EnergyModel, IncrementalModes};
-use reclaim_core::SolveError;
+use reclaim_core::{CurveEnergy, CurveSegment, SolveError};
 use std::fmt;
 use std::io::{self, Read, Write};
 use taskgraph::edit::GraphEdit;
@@ -286,32 +287,16 @@ pub enum ErrorKind {
     Timeout,
 }
 
-impl ErrorKind {
-    fn wire(self) -> &'static str {
-        match self {
-            ErrorKind::Infeasible => "infeasible",
-            ErrorKind::Numerical => "numerical",
-            ErrorKind::Unsupported => "unsupported",
-            ErrorKind::BudgetExhausted => "budget_exhausted",
-            ErrorKind::BadRequest => "bad_request",
-            ErrorKind::UnknownBase => "unknown_base",
-            ErrorKind::Protocol => "protocol",
-            ErrorKind::Timeout => "timeout",
-        }
-    }
-
-    fn from_wire(s: &str) -> Option<ErrorKind> {
-        Some(match s {
-            "infeasible" => ErrorKind::Infeasible,
-            "numerical" => ErrorKind::Numerical,
-            "unsupported" => ErrorKind::Unsupported,
-            "budget_exhausted" => ErrorKind::BudgetExhausted,
-            "bad_request" => ErrorKind::BadRequest,
-            "unknown_base" => ErrorKind::UnknownBase,
-            "protocol" => ErrorKind::Protocol,
-            "timeout" => ErrorKind::Timeout,
-            _ => return None,
-        })
+wire::table! {
+    str ErrorKind {
+        Infeasible = "infeasible",
+        Numerical = "numerical",
+        Unsupported = "unsupported",
+        BudgetExhausted = "budget_exhausted",
+        BadRequest = "bad_request",
+        UnknownBase = "unknown_base",
+        Protocol = "protocol",
+        Timeout = "timeout",
     }
 }
 
@@ -342,7 +327,7 @@ impl ErrorBody {
 
 impl fmt::Display for ErrorBody {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}: {}", self.kind.wire(), self.message)
+        write!(f, "{}: {}", self.kind.name(), self.message)
     }
 }
 
@@ -355,8 +340,10 @@ impl From<&SolveError> for ErrorBody {
             } => ErrorBody {
                 kind: ErrorKind::Infeasible,
                 message: e.to_string(),
-                deadline: Some(*deadline),
-                min_makespan: Some(*min_makespan),
+                // JSON cannot carry an overflowed bound; the message
+                // still names it.
+                deadline: Some(*deadline).filter(|d| d.is_finite()),
+                min_makespan: Some(*min_makespan).filter(|m| m.is_finite()),
             },
             SolveError::Numerical(_) => ErrorBody::new(ErrorKind::Numerical, e.to_string()),
             SolveError::Unsupported(_) => ErrorBody::new(ErrorKind::Unsupported, e.to_string()),
@@ -565,517 +552,207 @@ pub fn key_from_hex(s: &str) -> Option<u128> {
     u128::from_str_radix(digits, 16).ok()
 }
 
-pub(crate) fn graph_to_json(g: &TaskGraph) -> Json {
-    Json::Obj(vec![
-        (
-            "weights".into(),
-            Json::Arr(g.weights().iter().map(|&w| Json::num(w)).collect()),
-        ),
-        (
-            "edges".into(),
-            Json::Arr(
-                g.edges()
-                    .iter()
-                    .map(|&(u, v)| {
-                        Json::Arr(vec![
-                            Json::num(u.index() as f64),
-                            Json::num(v.index() as f64),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-pub(crate) fn model_to_json(m: &EnergyModel) -> Json {
-    let speeds = |m: &DiscreteModes| Json::Arr(m.speeds().iter().map(|&s| Json::num(s)).collect());
-    Json::Obj(match m {
-        EnergyModel::Continuous { s_max: None } => {
-            vec![("kind".into(), Json::str("continuous"))]
-        }
-        EnergyModel::Continuous { s_max: Some(s) } => vec![
-            ("kind".into(), Json::str("continuous")),
-            ("s_max".into(), Json::num(*s)),
-        ],
-        EnergyModel::Discrete(m) => vec![
-            ("kind".into(), Json::str("discrete")),
-            ("speeds".into(), speeds(m)),
-        ],
-        EnergyModel::VddHopping(m) => vec![
-            ("kind".into(), Json::str("vdd")),
-            ("speeds".into(), speeds(m)),
-        ],
-        EnergyModel::Incremental(m) => vec![
-            ("kind".into(), Json::str("incremental")),
-            ("s_min".into(), Json::num(m.s_min())),
-            ("s_max".into(), Json::num(m.s_max())),
-            ("delta".into(), Json::num(m.delta())),
-        ],
-    })
-}
-
 pub(crate) fn bad(msg: impl Into<String>) -> ErrorBody {
     ErrorBody::new(ErrorKind::BadRequest, msg)
 }
 
-pub(crate) fn edit_to_json(e: &GraphEdit) -> Json {
-    let ids = |v: &[usize]| Json::Arr(v.iter().map(|&i| Json::num(i as f64)).collect());
-    Json::Obj(match e {
-        GraphEdit::SetWeight { task, weight } => vec![
-            ("op".into(), Json::str("set_weight")),
-            ("task".into(), Json::num(*task as f64)),
-            ("weight".into(), Json::num(*weight)),
-        ],
-        GraphEdit::InsertEdge { from, to } => vec![
-            ("op".into(), Json::str("insert_edge")),
-            ("from".into(), Json::num(*from as f64)),
-            ("to".into(), Json::num(*to as f64)),
-        ],
-        GraphEdit::RemoveEdge { from, to } => vec![
-            ("op".into(), Json::str("remove_edge")),
-            ("from".into(), Json::num(*from as f64)),
-            ("to".into(), Json::num(*to as f64)),
-        ],
-        GraphEdit::AddTask {
-            weight,
-            preds,
-            succs,
-        } => vec![
-            ("op".into(), Json::str("add_task")),
-            ("weight".into(), Json::num(*weight)),
-            ("preds".into(), ids(preds)),
-            ("succs".into(), ids(succs)),
-        ],
-        GraphEdit::RemoveTask { task } => vec![
-            ("op".into(), Json::str("remove_task")),
-            ("task".into(), Json::num(*task as f64)),
-        ],
-    })
+/// A task graph as it travels; [`TaskGraph::new`] validates it on the
+/// way in.
+struct GraphWire {
+    weights: Vec<f64>,
+    edges: Vec<(usize, usize)>,
 }
 
-pub(crate) fn edit_from_json(v: &Json) -> Result<GraphEdit, ErrorBody> {
-    let op = v
-        .get("op")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("edit needs an \"op\""))?;
-    let task_field = |name: &str| -> Result<usize, ErrorBody> {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .map(|t| t as usize)
-            .ok_or_else(|| bad(format!("edit {op:?} needs integer \"{name}\"")))
-    };
-    let weight_field = || -> Result<f64, ErrorBody> {
-        v.get("weight")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("edit {op:?} needs numeric \"weight\"")))
-    };
-    let id_list = |name: &str| -> Result<Vec<usize>, ErrorBody> {
-        v.get(name)
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad(format!("edit {op:?} needs a \"{name}\" array")))?
-            .iter()
-            .map(|i| {
-                i.as_u64()
-                    .map(|i| i as usize)
-                    .ok_or_else(|| bad(format!("\"{name}\" entries must be task ids")))
-            })
-            .collect()
-    };
-    Ok(match op {
-        "set_weight" => GraphEdit::SetWeight {
-            task: task_field("task")?,
-            weight: weight_field()?,
-        },
-        "insert_edge" => GraphEdit::InsertEdge {
-            from: task_field("from")?,
-            to: task_field("to")?,
-        },
-        "remove_edge" => GraphEdit::RemoveEdge {
-            from: task_field("from")?,
-            to: task_field("to")?,
-        },
-        "add_task" => GraphEdit::AddTask {
-            weight: weight_field()?,
-            preds: id_list("preds")?,
-            succs: id_list("succs")?,
-        },
-        "remove_task" => GraphEdit::RemoveTask {
-            task: task_field("task")?,
-        },
-        other => return Err(bad(format!("unknown edit op {other:?}"))),
-    })
+wire::table! {
+    struct GraphWire {
+        weights: "weights",
+        edges: "edges",
+    }
 }
 
-pub(crate) fn graph_from_json(v: &Json) -> Result<TaskGraph, ErrorBody> {
-    let weights: Vec<f64> = v
-        .get("weights")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("graph needs a \"weights\" array"))?
-        .iter()
-        .map(|w| w.as_f64().ok_or_else(|| bad("weights must be numbers")))
-        .collect::<Result<_, _>>()?;
-    let edges: Vec<(usize, usize)> = v
-        .get("edges")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| bad("graph needs an \"edges\" array"))?
-        .iter()
-        .map(|e| {
-            let pair = e.as_arr().filter(|p| p.len() == 2);
-            let (u, v) = match pair {
-                Some([u, v]) => (u.as_u64(), v.as_u64()),
-                _ => (None, None),
-            };
-            match (u, v) {
-                (Some(u), Some(v)) => Ok((u as usize, v as usize)),
-                _ => Err(bad("each edge must be a [u, v] pair of task ids")),
+impl Wire for TaskGraph {
+    fn put(&self, out: &mut String) {
+        GraphWire {
+            weights: self.weights().to_vec(),
+            edges: self
+                .edges()
+                .iter()
+                .map(|&(u, v)| (u.index(), v.index()))
+                .collect(),
+        }
+        .put(out);
+    }
+
+    fn get(v: &Json) -> Result<TaskGraph, ErrorBody> {
+        let g = GraphWire::get(v)?;
+        TaskGraph::new(g.weights, &g.edges).map_err(|e| bad(format!("invalid graph: {e}")))
+    }
+}
+
+/// An [`EnergyModel`] as it travels. The mode types validate their
+/// parameters in their constructors, so decoding fills this plain
+/// mirror first.
+enum ModelWire {
+    Continuous { s_max: Option<f64> },
+    Discrete { speeds: Vec<f64> },
+    Vdd { speeds: Vec<f64> },
+    Incremental { s_min: f64, s_max: f64, delta: f64 },
+}
+
+wire::table! {
+    enum ModelWire, "kind" {
+        Continuous = "continuous" { s_max: omit "s_max" },
+        Discrete = "discrete" { speeds: "speeds" },
+        Vdd = "vdd" { speeds: "speeds" },
+        Incremental = "incremental" { s_min: "s_min", s_max: "s_max", delta: "delta" },
+    }
+}
+
+impl Wire for EnergyModel {
+    fn put(&self, out: &mut String) {
+        match self {
+            EnergyModel::Continuous { s_max } => ModelWire::Continuous { s_max: *s_max },
+            EnergyModel::Discrete(m) => ModelWire::Discrete {
+                speeds: m.speeds().to_vec(),
+            },
+            EnergyModel::VddHopping(m) => ModelWire::Vdd {
+                speeds: m.speeds().to_vec(),
+            },
+            EnergyModel::Incremental(m) => ModelWire::Incremental {
+                s_min: m.s_min(),
+                s_max: m.s_max(),
+                delta: m.delta(),
+            },
+        }
+        .put(out);
+    }
+
+    fn get(v: &Json) -> Result<EnergyModel, ErrorBody> {
+        let ladder = |speeds: Vec<f64>| {
+            DiscreteModes::new(&speeds).map_err(|e| bad(format!("invalid mode ladder: {e}")))
+        };
+        Ok(match ModelWire::get(v)? {
+            ModelWire::Continuous { s_max: Some(s) } if s <= 0.0 => {
+                return Err(bad("\"s_max\" must be a positive number"))
             }
+            ModelWire::Continuous { s_max } => EnergyModel::Continuous { s_max },
+            ModelWire::Discrete { speeds } => EnergyModel::Discrete(ladder(speeds)?),
+            ModelWire::Vdd { speeds } => EnergyModel::VddHopping(ladder(speeds)?),
+            ModelWire::Incremental {
+                s_min,
+                s_max,
+                delta,
+            } => EnergyModel::Incremental(
+                IncrementalModes::new(s_min, s_max, delta)
+                    .map_err(|e| bad(format!("invalid incremental grid: {e}")))?,
+            ),
         })
-        .collect::<Result<_, _>>()?;
-    TaskGraph::new(weights, &edges).map_err(|e| bad(format!("invalid graph: {e}")))
+    }
 }
 
-pub(crate) fn model_from_json(v: &Json) -> Result<EnergyModel, ErrorBody> {
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or_else(|| bad("model needs a \"kind\""))?;
-    let speeds = || -> Result<Vec<f64>, ErrorBody> {
-        v.get("speeds")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("model needs a \"speeds\" array"))?
-            .iter()
-            .map(|s| s.as_f64().ok_or_else(|| bad("speeds must be numbers")))
-            .collect()
-    };
-    let field = |name: &str| -> Result<f64, ErrorBody> {
-        v.get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("model needs numeric \"{name}\"")))
-    };
-    match kind {
-        "continuous" => match v.get("s_max") {
-            None => Ok(EnergyModel::continuous_unbounded()),
-            Some(s) => {
-                let s = s.as_f64().filter(|s| *s > 0.0);
-                s.map(EnergyModel::continuous)
-                    .ok_or_else(|| bad("\"s_max\" must be a positive number"))
-            }
+wire::table! {
+    enum GraphEdit, "op" {
+        SetWeight = "set_weight" { task: "task", weight: "weight" },
+        InsertEdge = "insert_edge" { from: "from", to: "to" },
+        RemoveEdge = "remove_edge" { from: "from", to: "to" },
+        AddTask = "add_task" { weight: "weight", preds: "preds", succs: "succs" },
+        RemoveTask = "remove_task" { task: "task" },
+    }
+}
+
+wire::table! {
+    enum Request, "type" {
+        Solve = "solve" { graph: "graph", model: "model", deadline: "deadline" },
+        SolveDeadlines = "solve_deadlines" {
+            graph: "graph",
+            model: "model",
+            deadlines: "deadlines",
         },
-        "discrete" | "vdd" => {
-            let modes = DiscreteModes::new(&speeds()?)
-                .map_err(|e| bad(format!("invalid mode ladder: {e}")))?;
-            Ok(if kind == "discrete" {
-                EnergyModel::Discrete(modes)
-            } else {
-                EnergyModel::VddHopping(modes)
-            })
-        }
-        "incremental" => {
-            let modes = IncrementalModes::new(field("s_min")?, field("s_max")?, field("delta")?)
-                .map_err(|e| bad(format!("invalid incremental grid: {e}")))?;
-            Ok(EnergyModel::Incremental(modes))
-        }
-        other => Err(bad(format!("unknown model kind {other:?}"))),
+        EnergyCurve = "energy_curve" {
+            graph: "graph",
+            model: "model",
+            points: "points",
+            lo: "lo",
+            hi: "hi",
+            exact: omit "exact",
+        },
+        Batch = "batch" { model: "model", jobs: "jobs" },
+        Patch = "patch" { base: "base", edits: "edits", deadline: "deadline" },
+        Corpus = "corpus" { shards: "shards", jobs: "jobs" },
+        Lineage = "lineage" { key: "key" },
+        Stats = "stats" {},
+        Shutdown = "shutdown" {},
+    }
+}
+
+// One `batch` job.
+wire::table! {
+    tuple (TaskGraph, f64) { 0: "graph", 1: "deadline" }
+}
+
+wire::table! {
+    struct crate::corpus::CorpusJob {
+        name: "name",
+        graph: "graph",
+        model: "model",
+        deadline: "deadline",
+    }
+}
+
+// `v` is also read by hand, ahead of everything else, by the version
+// gate in `decode`.
+wire::table! {
+    struct RequestEnvelope {
+        version: "v",
+        id: default "id",
+        timeout_ms: omit "timeout_ms",
+        as_of: omit "as_of",
+        request: flatten,
     }
 }
 
 impl RequestEnvelope {
     /// Encode to the one-line JSON payload (framing is separate).
     pub fn encode(&self) -> String {
-        let mut pairs = vec![
-            ("v".into(), Json::num(self.version as f64)),
-            ("id".into(), Json::num(self.id as f64)),
-        ];
-        if let Some(t) = self.timeout_ms {
-            // Omitted when unset so v1–v3 wire bytes are unchanged.
-            pairs.push(("timeout_ms".into(), Json::num(t as f64)));
-        }
-        if let Some(d) = self.as_of {
-            // Omitted when unset so v1–v4 wire bytes are unchanged.
-            pairs.push(("as_of".into(), Json::num(d as f64)));
-        }
-        match &self.request {
-            Request::Solve {
-                graph,
-                model,
-                deadline,
-            } => {
-                pairs.push(("type".into(), Json::str("solve")));
-                pairs.push(("graph".into(), graph_to_json(graph)));
-                pairs.push(("model".into(), model_to_json(model)));
-                pairs.push(("deadline".into(), Json::num(*deadline)));
-            }
-            Request::SolveDeadlines {
-                graph,
-                model,
-                deadlines,
-            } => {
-                pairs.push(("type".into(), Json::str("solve_deadlines")));
-                pairs.push(("graph".into(), graph_to_json(graph)));
-                pairs.push(("model".into(), model_to_json(model)));
-                pairs.push((
-                    "deadlines".into(),
-                    Json::Arr(deadlines.iter().map(|&d| Json::num(d)).collect()),
-                ));
-            }
-            Request::EnergyCurve {
-                graph,
-                model,
-                points,
-                lo,
-                hi,
-                exact,
-            } => {
-                pairs.push(("type".into(), Json::str("energy_curve")));
-                pairs.push(("graph".into(), graph_to_json(graph)));
-                pairs.push(("model".into(), model_to_json(model)));
-                pairs.push(("points".into(), Json::num(*points as f64)));
-                pairs.push(("lo".into(), Json::num(*lo)));
-                pairs.push(("hi".into(), Json::num(*hi)));
-                if *exact {
-                    // Omitted when false so v1/v2 wire bytes are
-                    // unchanged.
-                    pairs.push(("exact".into(), Json::Bool(true)));
-                }
-            }
-            Request::Batch { model, jobs } => {
-                pairs.push(("type".into(), Json::str("batch")));
-                pairs.push(("model".into(), model_to_json(model)));
-                pairs.push((
-                    "jobs".into(),
-                    Json::Arr(
-                        jobs.iter()
-                            .map(|(g, d)| {
-                                Json::Obj(vec![
-                                    ("graph".into(), graph_to_json(g)),
-                                    ("deadline".into(), Json::num(*d)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            Request::Patch {
-                base,
-                edits,
-                deadline,
-            } => {
-                pairs.push(("type".into(), Json::str("patch")));
-                pairs.push(("base".into(), Json::str(key_to_hex(*base))));
-                pairs.push((
-                    "edits".into(),
-                    Json::Arr(edits.iter().map(edit_to_json).collect()),
-                ));
-                pairs.push(("deadline".into(), Json::num(*deadline)));
-            }
-            Request::Corpus { shards, jobs } => {
-                pairs.push(("type".into(), Json::str("corpus")));
-                pairs.push(("shards".into(), Json::num(*shards as f64)));
-                pairs.push((
-                    "jobs".into(),
-                    Json::Arr(
-                        jobs.iter()
-                            .map(|j| {
-                                Json::Obj(vec![
-                                    ("name".into(), Json::str(j.name.clone())),
-                                    ("graph".into(), graph_to_json(&j.graph)),
-                                    ("model".into(), model_to_json(&j.model)),
-                                    ("deadline".into(), Json::num(j.deadline)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            Request::Lineage { key } => {
-                pairs.push(("type".into(), Json::str("lineage")));
-                pairs.push(("key".into(), Json::str(key_to_hex(*key))));
-            }
-            Request::Stats => pairs.push(("type".into(), Json::str("stats"))),
-            Request::Shutdown => pairs.push(("type".into(), Json::str("shutdown"))),
-        }
-        Json::Obj(pairs).encode()
+        wire::encode(self)
     }
 
     /// Decode a payload. Version/JSON failures come back as
     /// [`ErrorKind::Protocol`], content failures as
     /// [`ErrorKind::BadRequest`].
     pub fn decode(payload: &str) -> Result<RequestEnvelope, ErrorBody> {
-        let v =
-            json::parse(payload).map_err(|e| ErrorBody::new(ErrorKind::Protocol, e.to_string()))?;
-        let version = v.get("v").and_then(Json::as_u64);
-        let version = match version {
-            Some(n) if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&n) => n,
+        let protocol = |msg: String| ErrorBody::new(ErrorKind::Protocol, msg);
+        let v = json::parse(payload).map_err(|e| protocol(e.to_string()))?;
+        match v.get("v").and_then(Json::as_u64) {
+            Some(n) if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&n) => {}
             Some(n) => {
-                return Err(ErrorBody::new(
-                    ErrorKind::Protocol,
-                    format!(
-                        "unsupported protocol version {n} (this build speaks \
-                         {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
-                    ),
-                ))
+                return Err(protocol(format!(
+                    "unsupported protocol version {n} (this build speaks \
+                     {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION})"
+                )))
             }
-            None => {
-                return Err(ErrorBody::new(
-                    ErrorKind::Protocol,
-                    "missing protocol version \"v\"",
-                ))
-            }
-        };
-        let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
-        let typ = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("missing request \"type\""))?;
-        let num = |name: &str| -> Result<f64, ErrorBody> {
-            v.get(name)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| bad(format!("missing numeric \"{name}\"")))
-        };
-        let graph = || -> Result<TaskGraph, ErrorBody> {
-            graph_from_json(v.get("graph").ok_or_else(|| bad("missing \"graph\""))?)
-        };
-        let model = || -> Result<EnergyModel, ErrorBody> {
-            model_from_json(v.get("model").ok_or_else(|| bad("missing \"model\""))?)
-        };
-        let request = match typ {
-            "solve" => Request::Solve {
-                graph: graph()?,
-                model: model()?,
-                deadline: num("deadline")?,
-            },
-            "solve_deadlines" => Request::SolveDeadlines {
-                graph: graph()?,
-                model: model()?,
-                deadlines: v
-                    .get("deadlines")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("missing \"deadlines\" array"))?
-                    .iter()
-                    .map(|d| d.as_f64().ok_or_else(|| bad("deadlines must be numbers")))
-                    .collect::<Result<_, _>>()?,
-            },
-            "energy_curve" => Request::EnergyCurve {
-                graph: graph()?,
-                model: model()?,
-                points: v
-                    .get("points")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("missing integer \"points\""))?
-                    as usize,
-                lo: num("lo")?,
-                hi: num("hi")?,
-                exact: v.get("exact").and_then(Json::as_bool).unwrap_or(false),
-            },
-            "batch" => Request::Batch {
-                model: model()?,
-                jobs: v
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("missing \"jobs\" array"))?
-                    .iter()
-                    .map(|j| {
-                        let g = graph_from_json(
-                            j.get("graph").ok_or_else(|| bad("job missing \"graph\""))?,
-                        )?;
-                        let d = j
-                            .get("deadline")
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| bad("job missing \"deadline\""))?;
-                        Ok((g, d))
-                    })
-                    .collect::<Result<_, ErrorBody>>()?,
-            },
-            "patch" => Request::Patch {
-                base: v
-                    .get("base")
-                    .and_then(Json::as_str)
-                    .and_then(key_from_hex)
-                    .ok_or_else(|| bad("missing or malformed \"base\" content key"))?,
-                edits: v
-                    .get("edits")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("missing \"edits\" array"))?
-                    .iter()
-                    .map(edit_from_json)
-                    .collect::<Result<_, _>>()?,
-                deadline: num("deadline")?,
-            },
-            "corpus" => Request::Corpus {
-                shards: v
-                    .get("shards")
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| bad("missing integer \"shards\""))?
-                    as usize,
-                jobs: v
-                    .get("jobs")
-                    .and_then(Json::as_arr)
-                    .ok_or_else(|| bad("missing \"jobs\" array"))?
-                    .iter()
-                    .map(|j| {
-                        Ok(crate::corpus::CorpusJob {
-                            name: j
-                                .get("name")
-                                .and_then(Json::as_str)
-                                .ok_or_else(|| bad("corpus job missing \"name\""))?
-                                .to_string(),
-                            graph: graph_from_json(
-                                j.get("graph").ok_or_else(|| bad("job missing \"graph\""))?,
-                            )?,
-                            model: model_from_json(
-                                j.get("model").ok_or_else(|| bad("job missing \"model\""))?,
-                            )?,
-                            deadline: j
-                                .get("deadline")
-                                .and_then(Json::as_f64)
-                                .ok_or_else(|| bad("job missing \"deadline\""))?,
-                        })
-                    })
-                    .collect::<Result<_, ErrorBody>>()?,
-            },
-            "lineage" => Request::Lineage {
-                key: v
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .and_then(key_from_hex)
-                    .ok_or_else(|| bad("missing or malformed \"key\" content key"))?,
-            },
-            "stats" => Request::Stats,
-            "shutdown" => Request::Shutdown,
-            other => return Err(bad(format!("unknown request type {other:?}"))),
-        };
-        if version < request.min_version() {
-            return Err(ErrorBody::new(
-                ErrorKind::Protocol,
-                format!(
-                    "request type {typ:?} requires protocol version \
-                     {} (request used {version})",
-                    request.min_version()
-                ),
-            ));
+            None => return Err(protocol("missing protocol version \"v\"".into())),
         }
-        let timeout_ms = v.get("timeout_ms").and_then(Json::as_u64);
-        if timeout_ms.is_some() && version < 4 {
-            return Err(ErrorBody::new(
-                ErrorKind::Protocol,
-                format!("\"timeout_ms\" requires protocol version 4 (request used {version})"),
-            ));
+        let env = RequestEnvelope::get(&v)?;
+        let version = env.version;
+        let needed = env.request.min_version();
+        if version < needed {
+            return Err(protocol(format!(
+                "request type {:?} requires protocol version {needed} (request used {version})",
+                env.request.name()
+            )));
         }
-        let as_of = v.get("as_of").and_then(Json::as_u64);
-        if as_of.is_some() && version < 5 {
-            return Err(ErrorBody::new(
-                ErrorKind::Protocol,
-                format!("\"as_of\" requires protocol version 5 (request used {version})"),
-            ));
+        if env.timeout_ms.is_some() && version < 4 {
+            return Err(protocol(format!(
+                "\"timeout_ms\" requires protocol version 4 (request used {version})"
+            )));
         }
-        Ok(RequestEnvelope {
-            version,
-            id,
-            timeout_ms,
-            as_of,
-            request,
-        })
+        if env.as_of.is_some() && version < 5 {
+            return Err(protocol(format!(
+                "\"as_of\" requires protocol version 5 (request used {version})"
+            )));
+        }
+        Ok(env)
     }
 }
 
@@ -1309,406 +986,274 @@ pub struct ResponseEnvelope {
     pub response: Response,
 }
 
-fn report_to_json(r: &SolveReport) -> Json {
-    Json::Obj(vec![
-        ("energy".into(), Json::num(r.energy)),
-        ("algorithm".into(), Json::str(r.algorithm.clone())),
-        ("makespan".into(), Json::num(r.makespan)),
-        ("solve_ns".into(), Json::num(r.solve_ns as f64)),
-        ("prep_ns".into(), Json::num(r.prep_ns as f64)),
-        ("cached".into(), Json::Bool(r.cached)),
-        ("worker".into(), Json::num(r.worker as f64)),
-    ])
-}
-
-fn report_from_json(v: &Json) -> Result<SolveReport, ErrorBody> {
-    let f = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("solve report missing \"{name}\"")))
-    };
-    let u = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad(format!("solve report missing \"{name}\"")))
-    };
-    Ok(SolveReport {
-        energy: f("energy")?,
-        algorithm: v
-            .get("algorithm")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("solve report missing \"algorithm\""))?
-            .to_string(),
-        makespan: f("makespan")?,
-        solve_ns: u("solve_ns")?,
-        prep_ns: u("prep_ns")?,
-        cached: v
-            .get("cached")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| bad("solve report missing \"cached\""))?,
-        worker: u("worker")?,
-    })
-}
-
-pub(crate) fn segment_to_json(s: &reclaim_core::CurveSegment) -> Json {
-    use reclaim_core::CurveEnergy;
-    let mut pairs = vec![
-        ("lo".into(), Json::num(s.deadline_lo)),
-        ("hi".into(), Json::num(s.deadline_hi)),
-    ];
-    match s.energy {
-        CurveEnergy::Affine { a, b } => {
-            pairs.push(("form".into(), Json::str("affine")));
-            pairs.push(("a".into(), Json::num(a)));
-            pairs.push(("b".into(), Json::num(b)));
-        }
-        CurveEnergy::Power { c, p } => {
-            pairs.push(("form".into(), Json::str("power")));
-            pairs.push(("c".into(), Json::num(c)));
-            pairs.push(("p".into(), Json::num(p)));
-        }
-    }
-    Json::Obj(pairs)
-}
-
-pub(crate) fn segment_from_json(v: &Json) -> Result<reclaim_core::CurveSegment, ErrorBody> {
-    use reclaim_core::CurveEnergy;
-    let f = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad(format!("curve segment missing \"{name}\"")))
-    };
-    let energy = match v.get("form").and_then(Json::as_str) {
-        Some("affine") => CurveEnergy::Affine {
-            a: f("a")?,
-            b: f("b")?,
-        },
-        Some("power") => CurveEnergy::Power {
-            c: f("c")?,
-            p: f("p")?,
-        },
-        other => return Err(bad(format!("unknown segment form {other:?}"))),
-    };
-    Ok(reclaim_core::CurveSegment {
-        deadline_lo: f("lo")?,
-        deadline_hi: f("hi")?,
-        energy,
-    })
-}
-
-fn curve_exact_to_json(c: &CurveExactReport) -> Json {
-    Json::Obj(vec![
-        ("exact".into(), Json::Bool(c.exact)),
-        ("cached_curve".into(), Json::Bool(c.cached_curve)),
-        (
-            "segments".into(),
-            Json::Arr(c.segments.iter().map(segment_to_json).collect()),
-        ),
-    ])
-}
-
-fn curve_exact_from_json(v: &Json) -> Result<CurveExactReport, ErrorBody> {
-    Ok(CurveExactReport {
-        segments: v
-            .get("segments")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("exact curve missing \"segments\""))?
-            .iter()
-            .map(segment_from_json)
-            .collect::<Result<_, _>>()?,
-        exact: v
-            .get("exact")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| bad("exact curve missing \"exact\""))?,
-        cached_curve: v
-            .get("cached_curve")
-            .and_then(Json::as_bool)
-            .unwrap_or(false),
-    })
-}
-
-fn error_to_json(e: &ErrorBody) -> Json {
-    let mut pairs = vec![
-        ("kind".into(), Json::str(e.kind.wire())),
-        ("message".into(), Json::str(e.message.clone())),
-    ];
-    if let Some(d) = e.deadline {
-        pairs.push(("deadline".into(), Json::num(d)));
-    }
-    if let Some(m) = e.min_makespan {
-        pairs.push(("min_makespan".into(), Json::num(m)));
-    }
-    Json::Obj(pairs)
-}
-
-fn error_from_json(v: &Json) -> Result<ErrorBody, ErrorBody> {
-    let kind = v
-        .get("kind")
-        .and_then(Json::as_str)
-        .and_then(ErrorKind::from_wire)
-        .ok_or_else(|| bad("error body missing a known \"kind\""))?;
-    Ok(ErrorBody {
-        kind,
-        message: v
-            .get("message")
-            .and_then(Json::as_str)
-            .unwrap_or_default()
-            .to_string(),
-        deadline: v.get("deadline").and_then(Json::as_f64),
-        min_makespan: v.get("min_makespan").and_then(Json::as_f64),
-    })
-}
-
-fn item_to_json(item: &Result<SolveReport, ErrorBody>) -> Json {
-    match item {
-        Ok(r) => {
-            let mut pairs = vec![("ok".into(), Json::Bool(true))];
-            pairs.push(("result".into(), report_to_json(r)));
-            Json::Obj(pairs)
-        }
-        Err(e) => Json::Obj(vec![
-            ("ok".into(), Json::Bool(false)),
-            ("error".into(), error_to_json(e)),
-        ]),
+wire::table! {
+    struct SolveReport {
+        energy: "energy",
+        algorithm: "algorithm",
+        makespan: "makespan",
+        solve_ns: "solve_ns",
+        prep_ns: "prep_ns",
+        cached: "cached",
+        worker: "worker",
     }
 }
 
-fn item_from_json(v: &Json) -> Result<Result<SolveReport, ErrorBody>, ErrorBody> {
-    match v.get("ok").and_then(Json::as_bool) {
-        Some(true) => Ok(Ok(report_from_json(
-            v.get("result").ok_or_else(|| bad("item missing result"))?,
-        )?)),
-        Some(false) => Ok(Err(error_from_json(
-            v.get("error").ok_or_else(|| bad("item missing error"))?,
-        )?)),
-        None => Err(bad("item missing \"ok\"")),
+wire::table! {
+    enum CurveEnergy, "form" {
+        Affine = "affine" { a: "a", b: "b" },
+        Power = "power" { c: "c", p: "p" },
     }
 }
 
-fn shard_to_json(o: &crate::corpus::ShardOutcome) -> Json {
-    let entries = o
-        .entries
-        .iter()
-        .map(|e| {
-            let mut pairs = vec![
-                ("file".into(), Json::str(e.name.clone())),
-                ("key".into(), Json::str(key_to_hex(e.key))),
-                ("tasks".into(), Json::num(e.tasks as f64)),
-                ("deadline".into(), Json::num(e.deadline)),
-                ("model".into(), Json::str(e.model.clone())),
-            ];
-            match &e.result {
-                Ok((energy, algorithm)) => {
-                    pairs.push(("energy".into(), Json::num(*energy)));
-                    pairs.push(("algorithm".into(), Json::str(algorithm.clone())));
-                }
-                Err(err) => pairs.push(("error".into(), error_to_json(err))),
+wire::table! {
+    struct CurveSegment {
+        deadline_lo: "lo",
+        deadline_hi: "hi",
+        energy: flatten,
+    }
+}
+
+wire::table! {
+    struct CurveExactReport {
+        exact: "exact",
+        cached_curve: default "cached_curve",
+        segments: "segments",
+    }
+}
+
+// A sampled curve point.
+wire::table! {
+    tuple (f64, f64) { 0: "deadline", 1: "energy" }
+}
+
+wire::table! {
+    struct PatchReport {
+        report: flatten,
+        key: "key",
+        warm_lp: "warm_lp",
+    }
+}
+
+wire::table! {
+    struct ErrorBody {
+        kind: "kind",
+        message: default "message",
+        deadline: omit "deadline",
+        min_makespan: omit "min_makespan",
+    }
+}
+
+/// A per-job outcome: `{"ok":true,"result":…}` or
+/// `{"ok":false,"error":…}` — the response envelope's framing without
+/// its type tag.
+impl Wire for Result<SolveReport, ErrorBody> {
+    fn put(&self, out: &mut String) {
+        let mut o = Obj::open(out);
+        match self {
+            Ok(r) => {
+                o.field("ok", &true);
+                o.field("result", r);
             }
-            Json::Obj(pairs)
+            Err(e) => {
+                o.field("ok", &false);
+                o.field("error", e);
+            }
+        }
+        o.close();
+    }
+
+    fn get(v: &Json) -> Result<Self, ErrorBody> {
+        Ok(if wire::required(v, "ok")? {
+            Ok(wire::required(v, "result")?)
+        } else {
+            Err(wire::required(v, "error")?)
         })
-        .collect();
-    Json::Obj(vec![
-        ("shard".into(), Json::num(o.shard as f64)),
-        ("shards".into(), Json::num(o.shards as f64)),
-        ("elapsed_ns".into(), Json::num(o.elapsed_ns as f64)),
-        ("entries".into(), Json::Arr(entries)),
-    ])
+    }
 }
 
-fn shard_from_json(v: &Json) -> Result<crate::corpus::ShardOutcome, ErrorBody> {
-    let u = |name: &str| {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad(format!("corpus shard missing \"{name}\"")))
-    };
-    Ok(crate::corpus::ShardOutcome {
-        shard: u("shard")? as usize,
-        shards: u("shards")? as usize,
-        // Wall-clock survives the wire at f64 resolution — plenty for
-        // a throughput figure, and `Json::as_u64` would reject totals
-        // past 2^53 ns (~104 days) anyway.
-        elapsed_ns: v
-            .get("elapsed_ns")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| bad("corpus shard missing \"elapsed_ns\""))? as u128,
-        entries: v
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("corpus shard missing \"entries\""))?
-            .iter()
-            .map(|e| {
-                let result = match e.get("error") {
-                    Some(err) => Err(error_from_json(err)?),
-                    None => Ok((
-                        e.get("energy")
-                            .and_then(Json::as_f64)
-                            .ok_or_else(|| bad("corpus entry missing \"energy\""))?,
-                        e.get("algorithm")
-                            .and_then(Json::as_str)
-                            .ok_or_else(|| bad("corpus entry missing \"algorithm\""))?
-                            .to_string(),
-                    )),
-                };
-                Ok(crate::corpus::CorpusEntry {
-                    name: e
-                        .get("file")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("corpus entry missing \"file\""))?
-                        .to_string(),
-                    key: e
-                        .get("key")
-                        .and_then(Json::as_str)
-                        .and_then(key_from_hex)
-                        .ok_or_else(|| bad("corpus entry missing \"key\""))?,
-                    tasks: e
-                        .get("tasks")
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad("corpus entry missing \"tasks\""))?
-                        as usize,
-                    deadline: e
-                        .get("deadline")
-                        .and_then(Json::as_f64)
-                        .ok_or_else(|| bad("corpus entry missing \"deadline\""))?,
-                    model: e
-                        .get("model")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| bad("corpus entry missing \"model\""))?
-                        .to_string(),
-                    result,
-                })
-            })
-            .collect::<Result<_, ErrorBody>>()?,
-    })
+/// Shard wall-clock crosses the wire as a plain number, at f64
+/// resolution — plenty for a throughput figure (an exact integer would
+/// be rejected past 2^53 ns, ~104 days).
+struct Nanos(u128);
+
+impl Wire for Nanos {
+    fn put(&self, out: &mut String) {
+        (self.0 as f64).put(out);
+    }
+
+    fn get(v: &Json) -> Result<Nanos, ErrorBody> {
+        f64::get(v).map(|ns| Nanos(ns as u128))
+    }
 }
 
-fn lineage_to_json(l: &LineageReport) -> Json {
-    Json::Obj(vec![
-        ("key".into(), Json::str(key_to_hex(l.key))),
-        ("depth".into(), Json::num(l.depth as f64)),
-        (
-            "hops".into(),
-            Json::Arr(
-                l.hops
-                    .iter()
-                    .map(|h| {
-                        Json::Obj(vec![
-                            ("parent".into(), Json::str(key_to_hex(h.parent))),
-                            (
-                                "edits".into(),
-                                Json::Arr(h.edits.iter().map(edit_to_json).collect()),
-                            ),
-                            ("child".into(), Json::str(key_to_hex(h.child))),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+wire::table! {
+    struct crate::corpus::ShardOutcome {
+        shard: "shard",
+        shards: "shards",
+        elapsed_ns: "elapsed_ns" as Nanos,
+        entries: "entries",
+    }
 }
 
-fn lineage_from_json(v: &Json) -> Result<LineageReport, ErrorBody> {
-    let key_field = |v: &Json, name: &str| {
-        v.get(name)
-            .and_then(Json::as_str)
-            .and_then(key_from_hex)
-            .ok_or_else(|| bad(format!("lineage missing \"{name}\"")))
-    };
-    Ok(LineageReport {
-        key: key_field(v, "key")?,
-        depth: v
-            .get("depth")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad("lineage missing \"depth\""))?,
-        hops: v
-            .get("hops")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("lineage missing \"hops\""))?
-            .iter()
-            .map(|h| {
-                Ok(LineageHop {
-                    parent: key_field(h, "parent")?,
-                    edits: h
-                        .get("edits")
-                        .and_then(Json::as_arr)
-                        .ok_or_else(|| bad("lineage hop missing \"edits\""))?
-                        .iter()
-                        .map(edit_from_json)
-                        .collect::<Result<_, _>>()?,
-                    child: key_field(h, "child")?,
-                })
-            })
-            .collect::<Result<_, ErrorBody>>()?,
-    })
+wire::table! {
+    struct crate::corpus::CorpusEntry {
+        name: "file",
+        key: "key",
+        tasks: "tasks",
+        deadline: "deadline",
+        model: "model",
+        result: flatten,
+    }
+}
+
+/// A corpus entry's outcome flattens into the entry: `energy` and
+/// `algorithm` on success, an `error` body on failure.
+impl Fields for Result<(f64, String), ErrorBody> {
+    fn put_fields(&self, o: &mut Obj<'_>) {
+        match self {
+            Ok((energy, algorithm)) => {
+                o.field("energy", energy);
+                o.field("algorithm", algorithm);
+            }
+            Err(e) => o.field("error", e),
+        }
+    }
+
+    fn get_fields(v: &Json) -> Result<Self, ErrorBody> {
+        Ok(match wire::default(v, "error")? {
+            Some(e) => Err(e),
+            None => Ok((
+                wire::required(v, "energy")?,
+                wire::required(v, "algorithm")?,
+            )),
+        })
+    }
+}
+
+wire::table! {
+    struct LineageHop {
+        parent: "parent",
+        edits: "edits",
+        child: "child",
+    }
+}
+
+wire::table! {
+    struct LineageReport {
+        key: "key",
+        depth: "depth",
+        hops: "hops",
+    }
+}
+
+// Counters and sections newer than a peer's build decode as zero, so
+// a client reads any older daemon's stats (v1 has no patch counters,
+// pre-v4 no `net`, pre-v5 no `store`).
+wire::table! {
+    struct CacheStatsReport {
+        entries: "entries",
+        bytes: "bytes",
+        hits: "hits",
+        misses: "misses",
+        evictions: "evictions",
+        patch_hits: default "patch_hits",
+        patch_misses: default "patch_misses",
+        rekeys: default "rekeys",
+    }
+}
+
+wire::table! {
+    struct WorkerStatsReport {
+        requests: "requests",
+        solves: "solves",
+        solve_ns: "solve_ns",
+        warm_lost: default "warm_lost",
+        bnb_nodes: default "bnb_nodes",
+        bnb_steals: default "bnb_steals",
+        bnb_cancelled: default "bnb_cancelled",
+        sp_splice: default "sp_splice",
+        sp_splice_miss: default "sp_splice_miss",
+        cone_nodes: default "cone_nodes",
+    }
+}
+
+wire::table! {
+    struct NetStatsReport {
+        connections: default "connections",
+        queue_depth: default "queue_depth",
+        inflight: default "inflight",
+        rejected: default "rejected",
+        timeouts: default "timeouts",
+    }
+}
+
+wire::table! {
+    struct StoreStatsReport {
+        entries: default "entries",
+        bytes: default "bytes",
+        recovered: default "recovered",
+        corrupt_skipped: default "corrupt_skipped",
+        replays: default "replays",
+    }
+}
+
+wire::table! {
+    struct StatsReport {
+        cache: "cache",
+        workers: "workers",
+        net: default "net",
+        store: default "store",
+    }
+}
+
+/// The `shutdown` result, `{"stopping":true}`.
+struct Stopping {
+    stopping: bool,
+}
+
+wire::table! {
+    struct Stopping {
+        stopping: "stopping",
+    }
 }
 
 impl ResponseEnvelope {
     /// Encode to the one-line JSON payload (framing is separate).
     pub fn encode(&self) -> String {
-        let mut pairs = vec![
-            ("v".into(), Json::num(self.version as f64)),
-            ("id".into(), Json::num(self.id as f64)),
-        ];
-        match &self.response {
-            Response::Error(e) => {
-                pairs.push(("ok".into(), Json::Bool(false)));
-                pairs.push(("error".into(), error_to_json(e)));
-            }
-            ok => {
-                pairs.push(("ok".into(), Json::Bool(true)));
-                let (typ, result) = match ok {
-                    Response::Solve(r) => ("solve", report_to_json(r)),
-                    Response::Deadlines(items) => (
-                        "solve_deadlines",
-                        Json::Arr(items.iter().map(item_to_json).collect()),
-                    ),
-                    Response::Curve(points) => (
-                        "energy_curve",
-                        Json::Arr(
-                            points
-                                .iter()
-                                .map(|&(d, e)| {
-                                    Json::Obj(vec![
-                                        ("deadline".into(), Json::num(d)),
-                                        ("energy".into(), Json::num(e)),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    Response::CurveExact(c) => ("energy_curve", curve_exact_to_json(c)),
-                    Response::Batch(items) => {
-                        ("batch", Json::Arr(items.iter().map(item_to_json).collect()))
-                    }
-                    Response::Patch(p) => {
-                        let report = report_to_json(&p.report);
-                        let Json::Obj(mut fields) = report else {
-                            unreachable!("solve reports encode as objects")
-                        };
-                        fields.push(("key".into(), Json::str(key_to_hex(p.key))));
-                        fields.push(("warm_lp".into(), Json::Bool(p.warm_lp)));
-                        ("patch", Json::Obj(fields))
-                    }
-                    Response::Corpus(shards) => (
-                        "corpus",
-                        Json::Arr(shards.iter().map(shard_to_json).collect()),
-                    ),
-                    Response::Lineage(l) => ("lineage", lineage_to_json(l)),
-                    Response::Stats(s) => ("stats", stats_to_json(s)),
-                    Response::Shutdown => (
-                        "shutdown",
-                        Json::Obj(vec![("stopping".into(), Json::Bool(true))]),
-                    ),
-                    Response::Error(_) => unreachable!("handled above"),
-                };
-                pairs.push(("type".into(), Json::str(typ)));
-                pairs.push(("result".into(), result));
-            }
+        let mut out = String::with_capacity(128);
+        let mut o = Obj::open(&mut out);
+        o.field("v", &self.version);
+        o.field("id", &self.id);
+        if let Response::Error(e) = &self.response {
+            o.field("ok", &false);
+            o.field("error", e);
+        } else {
+            let (typ, result): (&str, &dyn Wire) = match &self.response {
+                Response::Solve(r) => ("solve", r),
+                Response::Deadlines(items) => ("solve_deadlines", items),
+                Response::Curve(points) => ("energy_curve", points),
+                Response::CurveExact(c) => ("energy_curve", c),
+                Response::Batch(items) => ("batch", items),
+                Response::Patch(p) => ("patch", p),
+                Response::Corpus(shards) => ("corpus", shards),
+                Response::Lineage(l) => ("lineage", l),
+                Response::Stats(s) => ("stats", s),
+                Response::Shutdown => ("shutdown", &Stopping { stopping: true }),
+                Response::Error(_) => unreachable!("handled above"),
+            };
+            o.field("ok", &true);
+            o.field("type", typ);
+            o.field("result", result);
         }
-        Json::Obj(pairs).encode()
+        o.close();
+        out
     }
 
     /// Decode a payload (the client side of [`Self::encode`]).
     pub fn decode(payload: &str) -> Result<ResponseEnvelope, ErrorBody> {
+        fn result<T: Wire>(v: &Json) -> Result<T, ErrorBody> {
+            wire::required(v, "result")
+        }
         let v =
             json::parse(payload).map_err(|e| ErrorBody::new(ErrorKind::Protocol, e.to_string()))?;
         let version = match v.get("v").and_then(Json::as_u64) {
@@ -1720,83 +1265,29 @@ impl ResponseEnvelope {
                 ))
             }
         };
-        let id = v.get("id").and_then(Json::as_u64).unwrap_or(0);
-        let ok = v
-            .get("ok")
-            .and_then(Json::as_bool)
-            .ok_or_else(|| bad("response missing \"ok\""))?;
-        if !ok {
-            let e = error_from_json(v.get("error").ok_or_else(|| bad("missing \"error\""))?)?;
+        let id = wire::default(&v, "id")?;
+        if !wire::required::<bool>(&v, "ok")? {
+            let response = Response::Error(wire::required(&v, "error")?);
             return Ok(ResponseEnvelope {
                 version,
                 id,
-                response: Response::Error(e),
+                response,
             });
         }
-        let typ = v
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| bad("response missing \"type\""))?;
-        let result = v
-            .get("result")
-            .ok_or_else(|| bad("response missing \"result\""))?;
-        let response = match typ {
-            "solve" => Response::Solve(report_from_json(result)?),
-            "solve_deadlines" | "batch" => {
-                let items = result
-                    .as_arr()
-                    .ok_or_else(|| bad("result must be an array"))?
-                    .iter()
-                    .map(item_from_json)
-                    .collect::<Result<Vec<_>, _>>()?;
-                if typ == "batch" {
-                    Response::Batch(items)
-                } else {
-                    Response::Deadlines(items)
-                }
-            }
-            // A sampled curve is an array of points; an exact curve is
-            // an object carrying closed-form segments (v3).
-            "energy_curve" if result.as_arr().is_none() => {
-                Response::CurveExact(curve_exact_from_json(result)?)
-            }
-            "energy_curve" => Response::Curve(
-                result
-                    .as_arr()
-                    .ok_or_else(|| bad("result must be an array"))?
-                    .iter()
-                    .map(|p| {
-                        let d = p.get("deadline").and_then(Json::as_f64);
-                        let e = p.get("energy").and_then(Json::as_f64);
-                        match (d, e) {
-                            (Some(d), Some(e)) => Ok((d, e)),
-                            _ => Err(bad("curve point missing deadline/energy")),
-                        }
-                    })
-                    .collect::<Result<_, _>>()?,
-            ),
-            "patch" => Response::Patch(PatchReport {
-                report: report_from_json(result)?,
-                key: result
-                    .get("key")
-                    .and_then(Json::as_str)
-                    .and_then(key_from_hex)
-                    .ok_or_else(|| bad("patch result missing \"key\""))?,
-                warm_lp: result
-                    .get("warm_lp")
-                    .and_then(Json::as_bool)
-                    .ok_or_else(|| bad("patch result missing \"warm_lp\""))?,
-            }),
-            "corpus" => Response::Corpus(
-                result
-                    .as_arr()
-                    .ok_or_else(|| bad("result must be an array"))?
-                    .iter()
-                    .map(shard_from_json)
-                    .collect::<Result<_, _>>()?,
-            ),
-            "lineage" => Response::Lineage(lineage_from_json(result)?),
-            "stats" => Response::Stats(stats_from_json(result)?),
+        let typ: String = wire::required(&v, "type")?;
+        // A sampled curve is an array of points; an exact curve is an
+        // object carrying closed-form segments (v3).
+        let sampled = v.get("result").is_some_and(|r| r.as_arr().is_some());
+        let response = match typ.as_str() {
+            "solve" => Response::Solve(result(&v)?),
+            "solve_deadlines" => Response::Deadlines(result(&v)?),
+            "energy_curve" if sampled => Response::Curve(result(&v)?),
+            "energy_curve" => Response::CurveExact(result(&v)?),
+            "batch" => Response::Batch(result(&v)?),
+            "patch" => Response::Patch(result(&v)?),
+            "corpus" => Response::Corpus(result(&v)?),
+            "lineage" => Response::Lineage(result(&v)?),
+            "stats" => Response::Stats(result(&v)?),
             "shutdown" => Response::Shutdown,
             other => return Err(bad(format!("unknown response type {other:?}"))),
         };
@@ -1806,158 +1297,6 @@ impl ResponseEnvelope {
             response,
         })
     }
-}
-
-fn stats_to_json(s: &StatsReport) -> Json {
-    Json::Obj(vec![
-        (
-            "cache".into(),
-            Json::Obj(vec![
-                ("entries".into(), Json::num(s.cache.entries as f64)),
-                ("bytes".into(), Json::num(s.cache.bytes as f64)),
-                ("hits".into(), Json::num(s.cache.hits as f64)),
-                ("misses".into(), Json::num(s.cache.misses as f64)),
-                ("evictions".into(), Json::num(s.cache.evictions as f64)),
-                ("patch_hits".into(), Json::num(s.cache.patch_hits as f64)),
-                (
-                    "patch_misses".into(),
-                    Json::num(s.cache.patch_misses as f64),
-                ),
-                ("rekeys".into(), Json::num(s.cache.rekeys as f64)),
-            ]),
-        ),
-        (
-            "workers".into(),
-            Json::Arr(
-                s.workers
-                    .iter()
-                    .map(|w| {
-                        Json::Obj(vec![
-                            ("requests".into(), Json::num(w.requests as f64)),
-                            ("solves".into(), Json::num(w.solves as f64)),
-                            ("solve_ns".into(), Json::num(w.solve_ns as f64)),
-                            ("warm_lost".into(), Json::num(w.warm_lost as f64)),
-                            ("bnb_nodes".into(), Json::num(w.bnb_nodes as f64)),
-                            ("bnb_steals".into(), Json::num(w.bnb_steals as f64)),
-                            ("bnb_cancelled".into(), Json::num(w.bnb_cancelled as f64)),
-                            ("sp_splice".into(), Json::num(w.sp_splice as f64)),
-                            ("sp_splice_miss".into(), Json::num(w.sp_splice_miss as f64)),
-                            ("cone_nodes".into(), Json::num(w.cone_nodes as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "net".into(),
-            Json::Obj(vec![
-                ("connections".into(), Json::num(s.net.connections as f64)),
-                ("queue_depth".into(), Json::num(s.net.queue_depth as f64)),
-                ("inflight".into(), Json::num(s.net.inflight as f64)),
-                ("rejected".into(), Json::num(s.net.rejected as f64)),
-                ("timeouts".into(), Json::num(s.net.timeouts as f64)),
-            ]),
-        ),
-        (
-            "store".into(),
-            Json::Obj(vec![
-                ("entries".into(), Json::num(s.store.entries as f64)),
-                ("bytes".into(), Json::num(s.store.bytes as f64)),
-                ("recovered".into(), Json::num(s.store.recovered as f64)),
-                (
-                    "corrupt_skipped".into(),
-                    Json::num(s.store.corrupt_skipped as f64),
-                ),
-                ("replays".into(), Json::num(s.store.replays as f64)),
-            ]),
-        ),
-    ])
-}
-
-fn stats_from_json(v: &Json) -> Result<StatsReport, ErrorBody> {
-    let cache = v.get("cache").ok_or_else(|| bad("stats missing cache"))?;
-    let cu = |name: &str| {
-        cache
-            .get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| bad(format!("cache stats missing \"{name}\"")))
-    };
-    // The patch counters are absent from v1 daemons' stats; default
-    // them to zero so a v2 client can read either.
-    let cu0 = |name: &str| cache.get(name).and_then(Json::as_u64).unwrap_or(0);
-    Ok(StatsReport {
-        cache: CacheStatsReport {
-            entries: cu("entries")?,
-            bytes: cu("bytes")?,
-            hits: cu("hits")?,
-            misses: cu("misses")?,
-            evictions: cu("evictions")?,
-            patch_hits: cu0("patch_hits"),
-            patch_misses: cu0("patch_misses"),
-            rekeys: cu0("rekeys"),
-        },
-        workers: v
-            .get("workers")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| bad("stats missing workers"))?
-            .iter()
-            .map(|w| {
-                let wu = |name: &str| {
-                    w.get(name)
-                        .and_then(Json::as_u64)
-                        .ok_or_else(|| bad(format!("worker stats missing \"{name}\"")))
-                };
-                // Counters newer than a peer's protocol build decode
-                // as zero rather than erroring.
-                let wu0 = |name: &str| w.get(name).and_then(Json::as_u64).unwrap_or(0);
-                Ok(WorkerStatsReport {
-                    requests: wu("requests")?,
-                    solves: wu("solves")?,
-                    solve_ns: wu("solve_ns")?,
-                    warm_lost: wu0("warm_lost"),
-                    bnb_nodes: wu0("bnb_nodes"),
-                    bnb_steals: wu0("bnb_steals"),
-                    bnb_cancelled: wu0("bnb_cancelled"),
-                    sp_splice: wu0("sp_splice"),
-                    sp_splice_miss: wu0("sp_splice_miss"),
-                    cone_nodes: wu0("cone_nodes"),
-                })
-            })
-            .collect::<Result<_, ErrorBody>>()?,
-        // Pre-v4 daemons report no "net" section: zeros, not errors.
-        net: {
-            let net = v.get("net");
-            let nu = |name: &str| {
-                net.and_then(|n| n.get(name))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-            };
-            NetStatsReport {
-                connections: nu("connections"),
-                queue_depth: nu("queue_depth"),
-                inflight: nu("inflight"),
-                rejected: nu("rejected"),
-                timeouts: nu("timeouts"),
-            }
-        },
-        // Pre-v5 daemons report no "store" section: zeros, not errors.
-        store: {
-            let store = v.get("store");
-            let su = |name: &str| {
-                store
-                    .and_then(|s| s.get(name))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0)
-            };
-            StoreStatsReport {
-                entries: su("entries"),
-                bytes: su("bytes"),
-                recovered: su("recovered"),
-                corrupt_skipped: su("corrupt_skipped"),
-                replays: su("replays"),
-            }
-        },
-    })
 }
 
 #[cfg(test)]
@@ -2254,7 +1593,7 @@ mod tests {
         let payload =
             r#"{"cache":{"entries":1,"bytes":64,"hits":2,"misses":1,"evictions":0},"workers":[]}"#;
         let v = json::parse(payload).unwrap();
-        let s = stats_from_json(&v).unwrap();
+        let s = StatsReport::get(&v).unwrap();
         assert_eq!(s.store, StoreStatsReport::default());
     }
 
@@ -2430,6 +1769,13 @@ mod tests {
             r#"{"v":1,"type":"solve"}"#,
             r#"{"v":1,"type":"solve","graph":{"weights":[1],"edges":[[0,0]]},"model":{"kind":"continuous"},"deadline":1}"#,
             r#"{"v":1,"type":"solve","graph":{"weights":[1],"edges":[]},"model":{"kind":"warp"},"deadline":1}"#,
+            // Present but malformed optional fields are errors, not
+            // silently defaulted.
+            r#"{"v":5,"as_of":"1","type":"solve","graph":{"weights":[1],"edges":[]},"model":{"kind":"continuous"},"deadline":1}"#,
+            r#"{"v":5,"as_of":-1,"type":"solve","graph":{"weights":[1],"edges":[]},"model":{"kind":"continuous"},"deadline":1}"#,
+            r#"{"v":4,"timeout_ms":1.5,"type":"stats"}"#,
+            r#"{"v":3,"type":"energy_curve","graph":{"weights":[1],"edges":[]},"model":{"kind":"continuous"},"points":4,"lo":1.05,"hi":3,"exact":1}"#,
+            r#"{"v":1,"id":"7","type":"stats"}"#,
         ] {
             let e = RequestEnvelope::decode(payload).unwrap_err();
             assert_eq!(e.kind, ErrorKind::BadRequest, "{payload}");
@@ -2499,5 +1845,15 @@ mod tests {
         let body = ErrorBody::from(&lp::LpError::WarmStartLost);
         assert_eq!(body.kind, ErrorKind::Numerical);
         assert!(body.message.contains("LP"));
+        // A critical path that overflows f64 (weights near f64::MAX)
+        // has no JSON form: the bound is dropped, the error still
+        // encodes.
+        let overflow = SolveError::Infeasible {
+            deadline: 1.0,
+            min_makespan: f64::INFINITY,
+        };
+        let body = ErrorBody::from(&overflow);
+        assert_eq!((body.deadline, body.min_makespan), (Some(1.0), None));
+        assert!(wire::encode(&body).contains("minimum makespan inf"));
     }
 }

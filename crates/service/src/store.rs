@@ -54,14 +54,11 @@
 
 use crate::cache::CachedCurve;
 use crate::json::{self, Json};
-use crate::proto::{
-    edit_from_json, edit_to_json, graph_from_json, graph_to_json, key_from_hex, key_to_hex,
-    model_from_json, model_to_json, segment_from_json, segment_to_json, LineageHop,
-    StoreStatsReport,
-};
+use crate::proto::{bad, key_from_hex, key_to_hex, ErrorBody, LineageHop, StoreStatsReport};
+use crate::wire::{self, Obj, Wire};
 use models::EnergyModel;
 use reclaim_core::engine::content_key;
-use reclaim_core::{CurveStats, ExactCurve};
+use reclaim_core::ExactCurve;
 use std::collections::{HashMap, HashSet};
 use std::fs;
 use std::io::{self, Write};
@@ -69,7 +66,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use taskgraph::edit::GraphEdit;
-use taskgraph::{AnalysisSnapshot, PreparedInstance, Shape, SpTree, TaskId};
+use taskgraph::{AnalysisSnapshot, PreparedInstance, Shape, SpTree, TaskGraph, TaskId};
 
 /// FNV-1a 64-bit — the record checksum (the content keys themselves
 /// are the engine's FNV-128; the store only needs to detect damage,
@@ -154,158 +151,101 @@ fn parse_record(data: &[u8], pos: &mut usize) -> Result<Option<String>, RecordDa
 }
 
 // ---------------------------------------------------------------
-// Payload codecs (deterministic: insertion-ordered objects)
+// Payload codecs (deterministic: fields in table order)
 // ---------------------------------------------------------------
 
-fn shape_wire(s: Shape) -> &'static str {
-    match s {
-        Shape::Single => "single",
-        Shape::Chain => "chain",
-        Shape::Fork => "fork",
-        Shape::Join => "join",
-        Shape::OutTree => "out_tree",
-        Shape::InTree => "in_tree",
-        Shape::SeriesParallel => "series_parallel",
-        Shape::General => "general",
+/// One instance file's payload. Only `key`, `model` and `graph` must
+/// decode; a damaged analysis or curve degrades to lazy recomputation.
+struct InstanceRecord {
+    key: u128,
+    model: EnergyModel,
+    graph: Arc<TaskGraph>,
+    analysis: Option<AnalysisSnapshot>,
+    curve: Option<CachedCurve>,
+}
+
+wire::table! {
+    struct InstanceRecord {
+        key: "key",
+        model: "model",
+        graph: "graph",
+        analysis: lenient "analysis",
+        curve: lenient "curve",
     }
 }
 
-fn shape_from_wire(s: &str) -> Option<Shape> {
-    Some(match s {
-        "single" => Shape::Single,
-        "chain" => Shape::Chain,
-        "fork" => Shape::Fork,
-        "join" => Shape::Join,
-        "out_tree" => Shape::OutTree,
-        "in_tree" => Shape::InTree,
-        "series_parallel" => Shape::SeriesParallel,
-        "general" => Shape::General,
-        _ => return None,
-    })
+// Every analysis field is independently damage-tolerant:
+// `PreparedInstance::restore` re-validates each against the graph.
+wire::table! {
+    struct AnalysisSnapshot {
+        topo: lenient "topo",
+        class: flatten,
+        cp_weight: lenient "cp_weight",
+        reduced_edges: lenient "reduced",
+    }
+}
+
+// A classification: the shape, plus the SP tree of a series-parallel
+// one.
+wire::table! {
+    tuple (Shape, Option<SpTree>) { 0: "shape", 1: lenient "sp" }
+}
+
+wire::table! {
+    str Shape {
+        Single = "single",
+        Chain = "chain",
+        Fork = "fork",
+        Join = "join",
+        OutTree = "out_tree",
+        InTree = "in_tree",
+        SeriesParallel = "series_parallel",
+        General = "general",
+    }
 }
 
 /// SP trees encode compactly: a leaf is its task id, a series node is
 /// `{"s":[…]}`, a parallel node `{"p":[…]}`.
-fn sp_to_json(t: &SpTree) -> Json {
-    match t {
-        SpTree::Leaf(id) => Json::num(id.index() as f64),
-        SpTree::Series(cs) => Json::Obj(vec![(
-            "s".into(),
-            Json::Arr(cs.iter().map(sp_to_json).collect()),
-        )]),
-        SpTree::Parallel(cs) => Json::Obj(vec![(
-            "p".into(),
-            Json::Arr(cs.iter().map(sp_to_json).collect()),
-        )]),
+impl Wire for SpTree {
+    fn put(&self, out: &mut String) {
+        let (tag, children) = match self {
+            SpTree::Leaf(id) => return id.index().put(out),
+            SpTree::Series(cs) => ("s", cs),
+            SpTree::Parallel(cs) => ("p", cs),
+        };
+        let mut o = Obj::open(out);
+        o.field(tag, children);
+        o.close();
     }
-}
 
-fn sp_from_json(v: &Json) -> Option<SpTree> {
-    if let Some(id) = v.as_u64() {
-        return Some(SpTree::Leaf(TaskId(id as usize)));
-    }
-    let (children, series) = match (v.get("s"), v.get("p")) {
-        (Some(cs), None) => (cs.as_arr()?, true),
-        (None, Some(cs)) => (cs.as_arr()?, false),
-        _ => return None,
-    };
-    let cs: Vec<SpTree> = children.iter().map(sp_from_json).collect::<Option<_>>()?;
-    Some(if series {
-        SpTree::Series(cs)
-    } else {
-        SpTree::Parallel(cs)
-    })
-}
-
-fn snapshot_to_json(s: &AnalysisSnapshot) -> Json {
-    let mut pairs = Vec::new();
-    if let Some(topo) = &s.topo {
-        pairs.push((
-            "topo".into(),
-            Json::Arr(topo.iter().map(|&i| Json::num(i as f64)).collect()),
-        ));
-    }
-    if let Some((shape, tree)) = &s.class {
-        pairs.push(("shape".into(), Json::str(shape_wire(*shape))));
-        if let Some(tree) = tree {
-            pairs.push(("sp".into(), sp_to_json(tree)));
+    fn get(v: &Json) -> Result<SpTree, ErrorBody> {
+        if let Some(id) = v.as_u64() {
+            return Ok(SpTree::Leaf(TaskId(id as usize)));
+        }
+        match (v.get("s"), v.get("p")) {
+            (Some(cs), None) => Ok(SpTree::Series(Wire::get(cs)?)),
+            (None, Some(cs)) => Ok(SpTree::Parallel(Wire::get(cs)?)),
+            _ => Err(bad("expected an SP tree")),
         }
     }
-    if let Some(cp) = s.cp_weight {
-        pairs.push(("cp_weight".into(), Json::num(cp)));
-    }
-    if let Some(redges) = &s.reduced_edges {
-        pairs.push((
-            "reduced".into(),
-            Json::Arr(
-                redges
-                    .iter()
-                    .map(|&(u, v)| Json::Arr(vec![Json::num(u as f64), Json::num(v as f64)]))
-                    .collect(),
-            ),
-        ));
-    }
-    Json::Obj(pairs)
 }
 
-fn snapshot_from_json(v: &Json) -> AnalysisSnapshot {
-    // Field-level damage degrades to lazy recomputation (restore()
-    // re-validates everything against the graph anyway).
-    let topo = v.get("topo").and_then(Json::as_arr).map(|a| {
-        a.iter()
-            .filter_map(|i| i.as_u64().map(|i| i as usize))
-            .collect()
-    });
-    let class = v
-        .get("shape")
-        .and_then(Json::as_str)
-        .and_then(shape_from_wire)
-        .map(|shape| (shape, v.get("sp").and_then(sp_from_json)));
-    AnalysisSnapshot {
-        topo,
-        class,
-        cp_weight: v.get("cp_weight").and_then(Json::as_f64),
-        reduced_edges: v.get("reduced").and_then(Json::as_arr).map(|a| {
-            a.iter()
-                .filter_map(|e| {
-                    let pair = e.as_arr().filter(|p| p.len() == 2)?;
-                    Some((pair[0].as_u64()? as usize, pair[1].as_u64()? as usize))
-                })
-                .collect()
-        }),
+wire::table! {
+    struct CachedCurve {
+        lo: "lo",
+        hi: "hi",
+        curve: flatten,
     }
 }
 
-fn curve_to_json(c: &CachedCurve) -> Json {
-    Json::Obj(vec![
-        ("lo".into(), Json::num(c.lo)),
-        ("hi".into(), Json::num(c.hi)),
-        ("exact".into(), Json::Bool(c.curve.exact)),
-        (
-            "segments".into(),
-            Json::Arr(c.curve.segments.iter().map(segment_to_json).collect()),
-        ),
-    ])
-}
-
-fn curve_from_json(v: &Json) -> Option<CachedCurve> {
-    let segments = v
-        .get("segments")?
-        .as_arr()?
-        .iter()
-        .map(|s| segment_from_json(s).ok())
-        .collect::<Option<Vec<_>>>()?;
-    Some(CachedCurve {
-        lo: v.get("lo")?.as_f64()?,
-        hi: v.get("hi")?.as_f64()?,
-        curve: Arc::new(ExactCurve {
-            segments,
-            exact: v.get("exact")?.as_bool()?,
-            // Build-cost counters are observability, not content: a
-            // recovered curve cost nothing to rebuild.
-            stats: CurveStats::default(),
-        }),
-    })
+// Build-cost counters are observability, not content: a recovered
+// curve cost nothing to rebuild.
+wire::table! {
+    struct ExactCurve {
+        exact: "exact",
+        segments: "segments",
+        stats: skip,
+    }
 }
 
 // ---------------------------------------------------------------
@@ -518,16 +458,20 @@ impl Store {
         inst: &PreparedInstance,
         curve: Option<&CachedCurve>,
     ) -> io::Result<()> {
-        let mut pairs = vec![
-            ("key".into(), Json::str(key_to_hex(key))),
-            ("model".into(), model_to_json(model)),
-            ("graph".into(), graph_to_json(inst.graph())),
-            ("analysis".into(), snapshot_to_json(&inst.snapshot())),
-        ];
-        if let Some(c) = curve {
-            pairs.push(("curve".into(), curve_to_json(c)));
-        }
-        let record = encode_record(&Json::Obj(pairs).encode());
+        let snapshot = inst.snapshot();
+        let record = InstanceRecord {
+            key,
+            model: model.clone(),
+            graph: inst.graph_arc(),
+            analysis: Some(AnalysisSnapshot {
+                // An overflowed critical path is not representable (and
+                // `restore` would drop it anyway).
+                cp_weight: snapshot.cp_weight.filter(|c| c.is_finite()),
+                ..snapshot
+            }),
+            curve: curve.cloned(),
+        };
+        let record = encode_record(&wire::encode(&record));
         self.write_atomic(&self.instance_path(key), record.as_bytes())?;
         self.sizes
             .lock()
@@ -582,15 +526,11 @@ impl Store {
                 }
             }
         }
-        let payload = Json::Obj(vec![
-            ("parent".into(), Json::str(key_to_hex(parent))),
-            (
-                "edits".into(),
-                Json::Arr(edits.iter().map(edit_to_json).collect()),
-            ),
-            ("child".into(), Json::str(key_to_hex(child))),
-        ])
-        .encode();
+        let payload = wire::encode(&LineageHop {
+            parent,
+            edits: edits.to_vec(),
+            child,
+        });
         let record = encode_record(&payload);
         let _guard = self.log.lock().expect("store lock poisoned");
         let mut f = fs::OpenOptions::new()
@@ -703,48 +643,30 @@ impl Store {
 }
 
 fn decode_lineage_payload(payload: &str) -> Option<(u128, Vec<GraphEdit>, u128)> {
-    let v = json::parse(payload).ok()?;
-    let key = |name: &str| v.get(name).and_then(Json::as_str).and_then(key_from_hex);
-    let edits: Vec<GraphEdit> = v
-        .get("edits")?
-        .as_arr()?
-        .iter()
-        .map(|e| edit_from_json(e).ok())
-        .collect::<Option<_>>()?;
-    Some((key("parent")?, edits, key("child")?))
+    let hop = LineageHop::get(&json::parse(payload).ok()?).ok()?;
+    Some((hop.parent, hop.edits, hop.child))
 }
 
 fn decode_instance_payload(payload: &str, want_key: u128) -> Option<StoredEntry> {
-    let v = json::parse(payload).ok()?;
-    let key = v.get("key").and_then(Json::as_str).and_then(key_from_hex)?;
-    if key != want_key {
-        return None;
-    }
-    let model = model_from_json(v.get("model")?).ok()?;
-    let graph = graph_from_json(v.get("graph")?).ok()?;
+    let record = InstanceRecord::get(&json::parse(payload).ok()?).ok()?;
     // The content-addressing invariant: the payload must still hash to
     // the key it is filed under.
-    if content_key(&graph, &model) != want_key {
+    if record.key != want_key || content_key(&record.graph, &record.model) != want_key {
         return None;
     }
-    let snap = v
-        .get("analysis")
-        .map(snapshot_from_json)
-        .unwrap_or(AnalysisSnapshot {
-            topo: None,
-            class: None,
-            cp_weight: None,
-            reduced_edges: None,
-        });
-    let inst = PreparedInstance::restore(Arc::new(graph), &snap);
-    let curve = v.get("curve").and_then(curve_from_json);
-    Some(StoredEntry { inst, model, curve })
+    let snap = record.analysis.unwrap_or_default();
+    Some(StoredEntry {
+        inst: PreparedInstance::restore(record.graph, &snap),
+        model: record.model,
+        curve: record.curve,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cache::instance_key;
+    use reclaim_core::CurveStats;
     use taskgraph::generators;
 
     fn tmpdir(tag: &str) -> PathBuf {

@@ -480,6 +480,63 @@ fn malformed_requests_get_structured_answers() {
     daemon.shutdown(client);
 }
 
+/// A valid instance whose optimum overflows f64 (energy `w³` for
+/// `w = 1e200`) is answered with a structured `numerical` error on
+/// every path that solves it — never a crashed daemon — and the same
+/// connection keeps serving ordinary solves.
+#[test]
+fn non_finite_results_are_numerical_errors() {
+    use reclaim_core::engine::content_key;
+    use taskgraph::edit::GraphEdit;
+
+    let daemon = Spawned::new("nonfinite", &["--workers", "2"]);
+    drop(daemon.client()); // wait for the socket
+                           // A panicked worker never answers: bound the wait so a regression
+                           // fails instead of hanging.
+    let stream = std::os::unix::net::UnixStream::connect(&daemon.socket).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let mut client = Client::from_unix(stream);
+    let graph = TaskGraph::new(vec![1e200, 1.0], &[(0, 1)]).unwrap();
+    let model = EnergyModel::continuous_unbounded();
+    let expect_numerical = |resp: Response, what: &str| match resp {
+        Response::Error(e) => assert_eq!(e.kind, ErrorKind::Numerical, "{what}: {e}"),
+        other => panic!("{what}: expected a numerical error, got {other:?}"),
+    };
+
+    let solve = Request::Solve {
+        graph: graph.clone(),
+        model: model.clone(),
+        deadline: 1.0,
+    };
+    expect_numerical(client.roundtrip(solve).unwrap().response, "solve");
+    let curve = Request::EnergyCurve {
+        graph: graph.clone(),
+        model: model.clone(),
+        points: 8,
+        lo: 1.05,
+        hi: 3.0,
+        exact: true,
+    };
+    expect_numerical(client.roundtrip(curve).unwrap().response, "exact curve");
+    // The instance is cached by now: patch it without curing the
+    // overflow.
+    let patch = Request::Patch {
+        base: content_key(&graph, &model),
+        edits: vec![GraphEdit::SetWeight {
+            task: 1,
+            weight: 2.0,
+        }],
+        deadline: 1.0,
+    };
+    expect_numerical(client.roundtrip(patch).unwrap().response, "patch");
+
+    let ok = expect_solve(client.roundtrip(solve_req(&big_graph(7))).unwrap().response);
+    assert!(ok.energy.is_finite() && ok.energy > 0.0);
+    daemon.shutdown(client);
+}
+
 /// The in-process TCP path: bind on an ephemeral port, solve, stop.
 #[test]
 fn tcp_endpoint_works_in_process() {

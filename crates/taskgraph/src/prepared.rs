@@ -513,7 +513,7 @@ impl PreparedInstance {
 /// [`PreparedInstance::restore`] consumes. Task ids travel as raw
 /// `usize` indices so a persistence layer can serialize the snapshot
 /// without knowing about [`TaskId`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct AnalysisSnapshot {
     /// The cached topological order, as task indices.
     pub topo: Option<Vec<usize>>,
