@@ -21,6 +21,7 @@ pub mod x11;
 pub mod x12;
 pub mod x13;
 pub mod x14;
+pub mod x15;
 pub mod x2;
 pub mod x3;
 pub mod x4;
@@ -122,6 +123,7 @@ const EXPERIMENTS: &[(&str, Runner)] = &[
     ("x12", x12::run),
     ("x13", x13::run),
     ("x14", x14::run),
+    ("x15", x15::run),
 ];
 
 /// Run every experiment in order.

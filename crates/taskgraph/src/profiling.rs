@@ -21,6 +21,7 @@ thread_local! {
     static SP_SPLICE: Cell<u64> = const { Cell::new(0) };
     static SP_SPLICE_MISS: Cell<u64> = const { Cell::new(0) };
     static CONE_NODES: Cell<u64> = const { Cell::new(0) };
+    static SP_VISITS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Snapshot of this thread's analysis-pass call counts.
@@ -53,6 +54,11 @@ pub struct Counts {
     /// rebuilds). Bounding this is how tests prove a repair stayed
     /// local instead of silently degrading to a full pass.
     pub cone_nodes: u64,
+    /// Adjacency-list entries read by series–parallel recognition
+    /// (full recognitions and splice region rebuilds alike) — the
+    /// deterministic work count its `O((n + m)·depth)` bound is
+    /// checked against.
+    pub sp_visits: u64,
 }
 
 impl std::ops::Sub for Counts {
@@ -66,6 +72,7 @@ impl std::ops::Sub for Counts {
             sp_splice: self.sp_splice - rhs.sp_splice,
             sp_splice_miss: self.sp_splice_miss - rhs.sp_splice_miss,
             cone_nodes: self.cone_nodes - rhs.cone_nodes,
+            sp_visits: self.sp_visits - rhs.sp_visits,
         }
     }
 }
@@ -80,6 +87,7 @@ pub fn counts() -> Counts {
         sp_splice: SP_SPLICE.with(Cell::get),
         sp_splice_miss: SP_SPLICE_MISS.with(Cell::get),
         cone_nodes: CONE_NODES.with(Cell::get),
+        sp_visits: SP_VISITS.with(Cell::get),
     }
 }
 
@@ -109,6 +117,10 @@ pub(crate) fn bump_sp_splice_miss() {
 
 pub(crate) fn add_cone_nodes(n: u64) {
     CONE_NODES.with(|c| c.set(c.get() + n));
+}
+
+pub(crate) fn add_sp_visits(n: u64) {
+    SP_VISITS.with(|c| c.set(c.get() + n));
 }
 
 #[cfg(test)]

@@ -14,6 +14,11 @@
 //! these two rules (plus single-task leaves) and returns the
 //! decomposition tree; the `reclaim-core` crate folds energy
 //! "equivalent weights" over it.
+//!
+//! Recognition costs `O((n + m)·depth)`: per tree level, one
+//! components pass splits `Parallel`s and one prefix scan of the
+//! topological order finds every series cut. Series children follow
+//! the topological order, parallel children the smallest task id.
 
 use crate::analysis::topo_order;
 use crate::graph::{TaskGraph, TaskId};
@@ -76,8 +81,10 @@ impl SpTree {
         }
     }
 
-    /// Flatten nested compositions of the same kind and unwrap
-    /// single-child compositions, producing a canonical tree.
+    /// Flatten nested compositions of the same kind, unwrap
+    /// single-child compositions, and order every `Parallel`'s children
+    /// by smallest task id, producing the canonical tree
+    /// [`SpTree::from_graph`] returns.
     pub fn normalized(self) -> SpTree {
         match self {
             SpTree::Leaf(t) => SpTree::Leaf(t),
@@ -103,6 +110,7 @@ impl SpTree {
                         other => out.push(other),
                     }
                 }
+                out.sort_by_cached_key(|c| c.leaves().into_iter().min());
                 if out.len() == 1 {
                     out.pop().unwrap()
                 } else {
@@ -121,10 +129,9 @@ impl SpTree {
     /// crossing the cut are exactly `sinks(P) × sources(S)`. In a valid
     /// series split every task of `P` has a path to every task of `S`,
     /// so all of `P` precedes all of `S` in **every** topological
-    /// order; scanning the prefixes of one fixed order therefore finds
-    /// a cut iff one exists. Complexity `O(n·(n + m))` per level,
-    /// `O(n²·(n+m))` worst case overall — polynomial, as Theorem 2
-    /// requires.
+    /// order; one scan of one fixed order finds every cut. Cost and
+    /// child order: see the module docs; the work is counted in
+    /// [`crate::profiling::Counts::sp_visits`].
     pub fn from_graph(g: &TaskGraph) -> Option<SpTree> {
         Self::from_graph_ordered(g, &topo_order(g))
     }
@@ -135,8 +142,7 @@ impl SpTree {
     pub fn from_graph_ordered(g: &TaskGraph, order: &[TaskId]) -> Option<SpTree> {
         debug_assert!(crate::analysis::is_topo_order(g, order));
         crate::profiling::bump_sp_from_graph();
-        let all: Vec<TaskId> = g.tasks().collect();
-        Self::decompose(g, &all, order).map(SpTree::normalized)
+        recognize(g, order, order)
     }
 
     /// Locally repair this decomposition after structural edits whose
@@ -213,8 +219,7 @@ impl SpTree {
         let grafted = match node {
             SpTree::Leaf(_) => {
                 crate::profiling::add_cone_nodes(1);
-                let sub = Self::decompose(g, &node.leaves(), order)?;
-                self.with_replaced(&path, sub)
+                self.clone() // a one-task region re-decomposes to itself
             }
             SpTree::Series(cs) | SpTree::Parallel(cs) => {
                 let tset: std::collections::HashSet<TaskId> = touched.iter().copied().collect();
@@ -232,15 +237,14 @@ impl SpTree {
                         hit[i]
                     }
                 };
-                let mut verts: Vec<TaskId> = cs
+                let verts: Vec<TaskId> = cs
                     .iter()
                     .enumerate()
                     .filter(|&(i, _)| picked(i))
                     .flat_map(|(_, c)| c.leaves())
                     .collect();
-                verts.sort();
                 crate::profiling::add_cone_nodes(verts.len() as u64);
-                let sub = Self::decompose(g, &verts, order)?;
+                let sub = recognize(g, order, &verts)?;
                 let mut out: Vec<SpTree> = Vec::with_capacity(cs.len());
                 for (i, c) in cs.iter().enumerate() {
                     if i == lo {
@@ -258,42 +262,11 @@ impl SpTree {
                 self.with_replaced(&path, rebuilt)
             }
         };
-        // 3. Re-canonicalize (a fresh recognition orders parallel
-        //    children by smallest task id; the graft may not) and
-        //    re-verify the composition junctions against the edited
-        //    edge set.
-        let candidate = grafted.normalized().with_sorted_parallels();
+        // 3. Re-canonicalize (the graft may nest, wrap or misorder
+        //    children) and re-verify the composition junctions against
+        //    the edited edge set.
+        let candidate = grafted.normalized();
         candidate.validates(g).then_some(candidate)
-    }
-
-    /// Smallest task id in the subtree — the key a fresh recognition
-    /// implicitly orders parallel children by (components are
-    /// discovered by ascending vertex id).
-    fn min_leaf(&self) -> TaskId {
-        match self {
-            SpTree::Leaf(t) => *t,
-            SpTree::Series(cs) | SpTree::Parallel(cs) => {
-                cs.iter().map(SpTree::min_leaf).min().expect("non-empty")
-            }
-        }
-    }
-
-    /// Recursively sort every `Parallel`'s children by smallest task
-    /// id, matching the canonical order [`SpTree::from_graph`]
-    /// produces. Idempotent on freshly recognized trees.
-    fn with_sorted_parallels(self) -> SpTree {
-        match self {
-            SpTree::Leaf(t) => SpTree::Leaf(t),
-            SpTree::Series(cs) => {
-                SpTree::Series(cs.into_iter().map(SpTree::with_sorted_parallels).collect())
-            }
-            SpTree::Parallel(cs) => {
-                let mut out: Vec<SpTree> =
-                    cs.into_iter().map(SpTree::with_sorted_parallels).collect();
-                out.sort_by_key(SpTree::min_leaf);
-                SpTree::Parallel(out)
-            }
-        }
     }
 
     /// Clone of `self` with the node at `path` (child indices from the
@@ -375,131 +348,150 @@ impl SpTree {
             }
         }
     }
+}
 
-    /// Recursive helper operating on an induced subgraph given by a
-    /// vertex subset (kept as a sorted list of original ids). The
-    /// global topological order is threaded through so no level
-    /// re-derives it.
-    fn decompose(g: &TaskGraph, verts: &[TaskId], global_order: &[TaskId]) -> Option<SpTree> {
-        if verts.len() == 1 {
-            return Some(SpTree::Leaf(verts[0]));
-        }
-        let inset: std::collections::HashSet<TaskId> = verts.iter().copied().collect();
-
-        // 1. Parallel split: weakly connected components of the induced
-        //    subgraph.
-        let comps = induced_components(g, verts, &inset);
-        if comps.len() > 1 {
-            let children: Option<Vec<SpTree>> = comps
-                .iter()
-                .map(|c| Self::decompose(g, c, global_order))
-                .collect();
-            return children.map(SpTree::Parallel);
-        }
-
-        // 2. Series split: scan prefixes of a topological order of the
-        //    induced subgraph.
-        let order = induced_topo(global_order, &inset);
-        for k in 1..order.len() {
-            let (p, s) = order.split_at(k);
-            if let Some((pp, ss)) = valid_series_cut(g, p, s, &inset) {
-                let left = Self::decompose(g, &pp, global_order)?;
-                let right = Self::decompose(g, &ss, global_order)?;
-                return Some(SpTree::Series(vec![left, right]));
-            }
-        }
-        None
+/// Recognize the subgraph of `g` induced by `verts`, for
+/// [`SpTree::from_graph_ordered`] and [`SpTree::splice`] alike. `order`
+/// (topological for `g`) restricted to any subset orders its subgraph.
+fn recognize(g: &TaskGraph, order: &[TaskId], verts: &[TaskId]) -> Option<SpTree> {
+    let mut at = vec![Counters::default(); g.n()];
+    for v in verts {
+        at[v.0].stamp = 1;
     }
+    let in_set = |v: &&TaskId| at[v.0].stamp == 1;
+    let set = order.iter().filter(in_set).copied().collect();
+    Recognizer { g, at, last: 1 }.parallel(set)
 }
 
-/// Weakly connected components of the induced subgraph.
-fn induced_components(
-    g: &TaskGraph,
-    verts: &[TaskId],
-    inset: &std::collections::HashSet<TaskId>,
-) -> Vec<Vec<TaskId>> {
-    let mut comp: std::collections::HashMap<TaskId, usize> = std::collections::HashMap::new();
-    let mut comps: Vec<Vec<TaskId>> = Vec::new();
-    for &v in verts {
-        if comp.contains_key(&v) {
-            continue;
-        }
-        let id = comps.len();
-        let mut stack = vec![v];
-        let mut members = Vec::new();
-        comp.insert(v, id);
-        while let Some(u) = stack.pop() {
-            members.push(u);
-            for &w in g.succs(u).iter().chain(g.preds(u)) {
-                if inset.contains(&w) && !comp.contains_key(&w) {
-                    comp.insert(w, id);
-                    stack.push(w);
-                }
-            }
-        }
-        members.sort();
-        comps.push(members);
-    }
-    comps
+/// Per-task state of one recognition. A vertex set is the tasks with
+/// its stamp, and each new set takes a fresh one: nothing is cleared.
+#[derive(Clone, Default)]
+struct Counters {
+    stamp: u32,
+    /// Degrees inside the task's current component.
+    indeg: usize,
+    outdeg: usize,
+    /// Neighbours in the series scan's prefix `P`: predecessors while
+    /// the task is in the suffix `S`, successors once it is in `P`.
+    in_p: usize,
 }
 
-/// Topological order of the induced subgraph.
-fn induced_topo(global_order: &[TaskId], inset: &std::collections::HashSet<TaskId>) -> Vec<TaskId> {
-    // Filter the global topological order down to the subset: a
-    // topological order of the whole DAG restricted to any subset is a
-    // topological order of the induced subgraph.
-    global_order
-        .iter()
-        .filter(|t| inset.contains(t))
-        .copied()
-        .collect()
+struct Recognizer<'g> {
+    g: &'g TaskGraph,
+    at: Vec<Counters>,
+    /// The last stamp handed out.
+    last: u32,
 }
 
-/// Check whether `(p, s)` is a valid series cut of the induced
-/// subgraph: cross edges are exactly `sinks(p) × sources(s)`.
-/// Returns the two vertex sets on success.
-fn valid_series_cut(
-    g: &TaskGraph,
-    p: &[TaskId],
-    s: &[TaskId],
-    inset: &std::collections::HashSet<TaskId>,
-) -> Option<(Vec<TaskId>, Vec<TaskId>)> {
-    let pset: std::collections::HashSet<TaskId> = p.iter().copied().collect();
-    let sset: std::collections::HashSet<TaskId> = s.iter().copied().collect();
-
-    // Sinks of induced P: no successor inside P (successors outside
-    // `inset` do not exist at this recursion level).
-    let sinks_p: Vec<TaskId> = p
-        .iter()
-        .copied()
-        .filter(|&u| !g.succs(u).iter().any(|v| pset.contains(v)))
-        .collect();
-    let sources_s: Vec<TaskId> = s
-        .iter()
-        .copied()
-        .filter(|&u| !g.preds(u).iter().any(|v| sset.contains(v)))
-        .collect();
-
-    // Count cross edges and verify each goes sink(P) -> source(S).
-    let sinks_set: std::collections::HashSet<TaskId> = sinks_p.iter().copied().collect();
-    let sources_set: std::collections::HashSet<TaskId> = sources_s.iter().copied().collect();
-    let mut cross = 0usize;
-    for &u in p {
-        for &v in g.succs(u) {
-            if !inset.contains(&v) || pset.contains(&v) {
+impl Recognizer<'_> {
+    /// Split `set` (topological order, one stamp) into its weakly
+    /// connected components, counting degrees inside each: a `Parallel`
+    /// of several, by smallest task id, or the series scan of one.
+    fn parallel(&mut self, set: Vec<TaskId>) -> Option<SpTree> {
+        let s = match set[..] {
+            [] => return None,
+            [t] => return Some(SpTree::Leaf(t)),
+            _ => self.at[set[0].0].stamp,
+        };
+        let first = self.last + 1;
+        for &root in &set {
+            if self.at[root.0].stamp != s {
                 continue;
             }
-            // Edge crosses the cut.
-            if !sinks_set.contains(&u) || !sources_set.contains(&v) {
-                return None;
+            self.last += 1;
+            let c = self.last;
+            self.at[root.0].stamp = c;
+            let mut stack = vec![root];
+            while let Some(u) = stack.pop() {
+                let (succs, preds) = (self.g.succs(u), self.g.preds(u));
+                crate::profiling::add_sp_visits((succs.len() + preds.len()) as u64);
+                let mut deg = [0; 2]; // [out, in]
+                for (i, &w) in succs.iter().chain(preds).enumerate() {
+                    if self.at[w.0].stamp == s {
+                        self.at[w.0].stamp = c;
+                        stack.push(w);
+                    }
+                    deg[usize::from(i >= succs.len())] += usize::from(self.at[w.0].stamp == c);
+                }
+                let at = &mut self.at[u.0];
+                ([at.outdeg, at.indeg], at.in_p) = (deg, 0);
             }
-            cross += 1;
         }
+        if self.last == first {
+            return self.series(set);
+        }
+        let mut comps = vec![Vec::new(); (self.last + 1 - first) as usize];
+        for v in set {
+            comps[(self.at[v.0].stamp - first) as usize].push(v);
+        }
+        comps.sort_by_key(|c: &Vec<TaskId>| c.iter().min().copied());
+        let children = comps.into_iter().map(|c| match c[..] {
+            [t] => Some(SpTree::Leaf(t)),
+            _ => self.series(c),
+        });
+        children.collect::<Option<_>>().map(SpTree::Parallel)
     }
-    if cross != sinks_p.len() * sources_s.len() {
-        return None; // not a complete bipartite junction
+
+    /// Cut the connected `comp` (topological order, one stamp, ≥ 2
+    /// tasks) at every series cut in one scan moving tasks from the
+    /// suffix `S` to the prefix `P`; each segment is a leaf or `Parallel`.
+    fn series(&mut self, comp: Vec<TaskId>) -> Option<SpTree> {
+        let (g, c) = (self.g, self.at[comp[0].0].stamp);
+        let mut sources = comp.iter().filter(|v| self.at[v.0].indeg == 0).count();
+        // `k` is a cut iff all `cross` crossing edges run from a sink of
+        // `P` to a source of `S` — none has a tail with a successor in
+        // `P` (`bad_tail`) or a head with a predecessor in `S`
+        // (`bad_head`) — and `cross = |sinks(P)|·|sources(S)|`.
+        let (mut sinks, mut cross, mut bad_tail, mut bad_head) = (0, 0, 0, 0);
+        let mut cuts = vec![0];
+        for (k, &v) in comp[..comp.len() - 1].iter().enumerate() {
+            // Every predecessor of `v` is in `P`: it leaves `S` as a
+            // source and joins `P` as a sink.
+            let at = &mut self.at[v.0];
+            (sources, sinks, cross, at.in_p) =
+                (sources - 1, sinks + 1, cross + at.outdeg - at.indeg, 0);
+            crate::profiling::add_sp_visits((g.preds(v).len() + g.succs(v).len()) as u64);
+            for &u in g.preds(v) {
+                let u = &mut self.at[u.0];
+                if u.stamp == c {
+                    if u.in_p == 0 {
+                        sinks -= 1;
+                        bad_tail += u.outdeg - 1;
+                    } else {
+                        bad_tail -= 1;
+                    }
+                    u.in_p += 1;
+                }
+            }
+            for &w in g.succs(v) {
+                let w = &mut self.at[w.0];
+                if w.stamp == c {
+                    w.in_p += 1;
+                    if w.in_p < w.indeg {
+                        bad_head += 1;
+                    } else {
+                        bad_head -= w.in_p - 1;
+                        sources += 1;
+                    }
+                }
+            }
+            if bad_tail == 0 && bad_head == 0 && cross == sinks * sources {
+                cuts.push(k + 1);
+            }
+        }
+        if cuts.len() == 1 {
+            return None; // connected with no series cut: not SP
+        }
+        cuts.push(comp.len());
+        let segments = cuts.windows(2).map(|w| {
+            self.last += 1;
+            for v in &comp[w[0]..w[1]] {
+                self.at[v.0].stamp = self.last;
+            }
+            self.parallel(comp[w[0]..w[1]].to_vec())
+        });
+        segments.collect::<Option<_>>().map(SpTree::Series)
     }
-    Some((p.to_vec(), s.to_vec()))
 }
 
 /// Build a [`TaskGraph`] from an abstract SP shape with given leaf
@@ -713,6 +705,36 @@ mod tests {
         );
         // Bit-identical to a fresh recognition of the edited graph.
         assert_eq!(spliced, SpTree::from_graph(&edited).unwrap());
+    }
+
+    /// The tree and the adjacency entries its recognition read.
+    fn recognize_counted(g: &TaskGraph) -> (SpTree, u64) {
+        let before = crate::profiling::counts();
+        let tree = SpTree::from_graph(g).expect("SP graph");
+        (tree, (crate::profiling::counts() - before).sp_visits)
+    }
+
+    #[test]
+    fn recognition_reads_each_adjacency_list_about_once_per_level() {
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        for n in [500, 2000, 8000] {
+            let (g, _) = crate::generators::random_sp(n, 0.5, 1.0, 4.0, &mut rng);
+            let (tree, visits) = recognize_counted(&g);
+            let bound = 3 * (n + g.m()) * (tree.depth() + 1);
+            assert!(visits as usize <= bound, "n={n}: {visits} visits > {bound}");
+        }
+        // The chain of 250 triple-branch blocks (1,001 tasks) the
+        // prefix-trying recognizer was slowest on.
+        let mut chain = vec![SpShape::Leaf(1.0)];
+        for _ in 0..250 {
+            chain.push(SpShape::Parallel(vec![SpShape::Leaf(1.0); 3]));
+            chain.push(SpShape::Leaf(1.0));
+        }
+        let (g, _) = SpShape::Series(chain).build();
+        let (_, visits) = recognize_counted(&g);
+        let bound = 12 * (g.n() + g.m());
+        assert!(visits as usize <= bound, "{visits} visits > {bound}");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Property tests for the graph substrate.
 
+mod common;
+
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -90,6 +92,48 @@ proptest! {
         a.sort();
         b.sort();
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn splice_matches_fresh_recognition_on_shuffled_ids(
+        n in 2usize..40,
+        bias in 0.2f64..0.8,
+        seed in any::<u64>(),
+    ) {
+        // Ids that do not follow emission order separate "smallest id"
+        // from "first in topological order": a splice must still land
+        // on the tree a fresh recognition of the edited graph builds.
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (g, _) = generators::random_sp(n, bias, 0.5, 4.0, &mut rng);
+        let g = common::shuffle_ids(&g, &mut rng);
+        let order = topo_order(&g);
+        let tree = SpTree::from_graph_ordered(&g, &order).expect("generated SP graph");
+        // A random edge removal or forward insertion, and a sink → source
+        // insertion (which often keeps the graph SP by serializing two
+        // parallel components).
+        let mut pos = vec![0; g.n()];
+        for (i, t) in order.iter().enumerate() {
+            pos[t.0] = i;
+        }
+        let (sinks, sources) = (g.sinks(), g.sources());
+        let (u, v) = (
+            sinks[rng.gen_range(0..sinks.len())],
+            sources[rng.gen_range(0..sources.len())],
+        );
+        let serialize = (pos[u.0] < pos[v.0]).then(|| {
+            let mut edges = common::edge_list(&g);
+            edges.push((u.0, v.0));
+            (TaskGraph::new(g.weights().to_vec(), &edges).unwrap(), [u, v])
+        });
+        let edits = common::perturb(&g, &order, &mut rng).into_iter().chain(serialize);
+        for (edited, touched) in edits {
+            // A miss is allowed (the caller falls back to full
+            // recognition); a repaired tree must be the fresh one.
+            if let Some(spliced) = tree.splice(&edited, &order, &touched) {
+                prop_assert_eq!(Some(spliced), SpTree::from_graph(&edited));
+            }
+        }
     }
 
     #[test]
